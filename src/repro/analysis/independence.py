@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 from ..schema.dtd import DTD
 from ..schema.edtd import EDTD
+from ..schema.regex import TEXT_SYMBOL
 from ..xquery.ast import Query
 from ..xupdate.ast import Update
 from .cdag import Component, Universe, components_conflict, conflict_witness
@@ -70,30 +71,22 @@ RecursionStructure = tuple[tuple[tuple[int, bool, tuple[int, ...]], ...], int]
 
 
 def recursion_structure(schema: Schema) -> RecursionStructure:
-    """Step 1 of the depth-cap computation (k-independent, cacheable)."""
-    import networkx as nx
+    """Step 1 of the depth-cap computation (k-independent, cacheable).
 
-    graph = nx.DiGraph()
-    graph.add_nodes_from(schema.alphabet)
-    for tag in schema.alphabet:
-        for child in schema.children_of(tag):
-            if child in schema.alphabet:
-                graph.add_edge(tag, child)
-    condensation = nx.condensation(graph)
-    members = condensation.graph["mapping"]
-    order = list(nx.topological_sort(condensation))
-    index = {scc_id: position for position, scc_id in enumerate(order)}
-    entries = []
-    for scc_id in order:
-        scc = condensation.nodes[scc_id]["members"]
-        recursive = len(scc) > 1 or any(
-            s in schema.children_of(s) for s in scc
-        )
-        preds = tuple(sorted(
-            index[pred] for pred in condensation.predecessors(scc_id)
-        ))
-        entries.append((len(scc), recursive, preds))
-    return tuple(entries), index[members[schema.start]]
+    The schema's cached condensation, without the text symbol's sink
+    component: the bound counts element types and adds the trailing
+    text symbol itself.
+    """
+    graph = schema.condensation()
+    text = graph.index[TEXT_SYMBOL]
+    kept = [i for i in range(len(graph.components)) if i != text]
+    position = {i: p for p, i in enumerate(kept)}
+    entries = tuple(
+        (len(graph.components[i]), graph.cyclic[i],
+         tuple(sorted(position[pred] for pred in graph.predecessors[i])))
+        for i in kept
+    )
+    return entries, position[graph.index[schema.start]]
 
 
 def depth_cap_from(structure: RecursionStructure, k: int) -> int:

@@ -51,31 +51,22 @@ def schema_reach(
     ``cap``, since its true reach is unbounded.  This is the viability
     side of the truncation guard on :class:`ChainKeep`: whether a label
     chain can still extend to the universe's depth cap depends only on
-    its length and last symbol, so a one-pass DFS over the type graph
-    answers it for every chain at once.
+    its length and last symbol, so one reverse-topological pass over
+    the schema's cached condensation answers it for every chain at once.
     """
-    memo: dict[str, int] = {}
-    on_path: set[str] = set()
-
-    def extend(symbol: str) -> int:
-        if symbol in memo:
-            return memo[symbol]
-        if symbol in on_path:
-            return cap  # back edge: symbol lies on a cycle
-        on_path.add(symbol)
-        best = 0
-        for child in sorted(schema.children_of(symbol)):
-            best = max(best, 1 + extend(child))
-            if best >= cap:
-                best = cap
-                break
-        on_path.discard(symbol)
-        memo[symbol] = best
-        return best
-
-    return tuple(sorted(
-        (symbol, extend(symbol)) for symbol in schema.symbols
-    ))
+    graph = schema.condensation()
+    reach = [0] * len(graph.components)
+    for i in reversed(range(len(reach))):
+        if graph.cyclic[i]:
+            reach[i] = cap
+            continue
+        longest = 0
+        for j in graph.successors[i]:
+            if reach[j] >= longest:
+                longest = reach[j] + 1
+        reach[i] = min(cap, longest)
+    return tuple([(symbol, reach[graph.index[symbol]])
+                  for symbol in sorted(schema.symbols)])
 
 
 def chain_keep_for_chains(

@@ -182,8 +182,7 @@ def _cmd_load(args: argparse.Namespace) -> int:
                     open_store(args.store)
                 ).documents
             else:
-                # Legacy --docstore path: a documents-only SQLite file,
-                # byte-compatible with what DocumentBackend produced.
+                # Legacy --docstore path: a documents-only SQLite file.
                 from .storage.sqlite import SqliteDocumentStore
 
                 documents = stack.enter_context(

@@ -15,7 +15,7 @@ level`` (the standard identity of the pre/post plane used by XPath
 accelerators).  The encoding is built in one streaming pass by
 :class:`IndexedStoreBuilder` (also the sink of the projected bulk
 loader) and persisted row-per-node by
-:class:`~repro.docstore.backend.DocumentBackend`.
+:class:`~repro.storage.sqlite.SqliteDocumentStore`.
 
 :class:`IndexedStore` is duck-type compatible with the Section-2
 :class:`~repro.xmldm.store.Store` -- ``typ``/``node_chain``/``children``

@@ -10,6 +10,7 @@ A DTD is the triple ``(Sigma, s_d, d)`` of Section 2 of the paper.  The
 from __future__ import annotations
 
 from .automata import GlushkovAutomaton
+from .graph import Condensation, condense
 from .regex import (
     EPSILON,
     TEXT_SYMBOL,
@@ -55,6 +56,7 @@ class DTD:
         }
         self._children[TEXT_SYMBOL] = frozenset()
         self._order: dict[str, frozenset[tuple[str, str]]] = {}
+        self._condensation: Condensation | None = None
         self._descendants: dict[str, frozenset[str]] | None = None
 
     # -- construction --------------------------------------------------------
@@ -139,34 +141,44 @@ class DTD:
             self._order[symbol] = cached
         return cached
 
+    def condensation(self) -> Condensation:
+        """The SCC condensation of the ``=>d`` type graph over
+        :attr:`symbols` (computed once, then cached)."""
+        if self._condensation is None:
+            self._condensation = condense(
+                sorted(self.symbols),
+                lambda symbol: sorted(self._children[symbol]),
+            )
+        return self._condensation
+
     def descendants_of(self, symbol: str) -> frozenset[str]:
         """Symbols reachable from ``symbol`` in one or more ``=>d`` steps."""
         if self._descendants is None:
-            self._descendants = self._compute_descendants()
+            # One reverse-topological union over the condensation: a
+            # component reaches its successors' members and everything
+            # below them, plus its own members when it holds a cycle.
+            graph = self.condensation()
+            below: list[frozenset[str]] = [frozenset()] * len(graph.components)
+            for i in reversed(range(len(graph.components))):
+                reach = set(graph.components[i]) if graph.cyclic[i] else set()
+                for j in graph.successors[i]:
+                    reach.update(graph.components[j])
+                    reach |= below[j]
+                below[i] = frozenset(reach)
+            self._descendants = {s: below[graph.index[s]] for s in self.symbols}
         return self._descendants[symbol]
-
-    def _compute_descendants(self) -> dict[str, frozenset[str]]:
-        closure: dict[str, set[str]] = {s: set(self.children_of(s))
-                                        for s in self.symbols}
-        changed = True
-        while changed:
-            changed = False
-            for symbol, reach in closure.items():
-                extra: set[str] = set()
-                for child in reach:
-                    extra |= closure[child]
-                if not extra <= reach:
-                    reach |= extra
-                    changed = True
-        return {s: frozenset(reach) for s, reach in closure.items()}
 
     def is_recursive(self) -> bool:
         """True iff some symbol is reachable from itself (vertical recursion)."""
-        return any(s in self.descendants_of(s) for s in self.alphabet)
+        return any(self.condensation().cyclic)
 
     def recursive_symbols(self) -> frozenset[str]:
         """Symbols lying on a ``=>d`` cycle."""
-        return frozenset(s for s in self.alphabet if s in self.descendants_of(s))
+        graph = self.condensation()
+        return frozenset(
+            symbol for members, cyclic in zip(graph.components, graph.cyclic)
+            if cyclic for symbol in members
+        )
 
     def size(self) -> int:
         """``|d|``: number of element-type definitions (as in Section 6.2)."""

@@ -16,6 +16,7 @@ analysis modules consume any schema exposing the small interface below;
 from __future__ import annotations
 
 from .dtd import DTD, DTDError
+from .graph import Condensation
 from .regex import TEXT_SYMBOL
 
 
@@ -58,6 +59,9 @@ class EDTD:
 
     def descendants_of(self, symbol: str) -> frozenset[str]:
         return self.core.descendants_of(symbol)
+
+    def condensation(self) -> Condensation:
+        return self.core.condensation()
 
     def sibling_order(self, symbol: str) -> frozenset[tuple[str, str]]:
         return self.core.sibling_order(symbol)

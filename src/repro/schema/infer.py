@@ -23,12 +23,10 @@ w.r.t. the inferred DTD.**
 
 from __future__ import annotations
 
-
-import networkx as nx
-
 from ..xmldm.store import Tree
 from .automata import GlushkovAutomaton
 from .dtd import DTD
+from .graph import condense
 from .regex import TEXT_SYMBOL, parse_content_model
 
 
@@ -80,28 +78,22 @@ def _chare_model(words: list[tuple[str, ...]], symbols: list[str]
                  ) -> str | None:
     """Factor sequence from the immediately-follows graph, or None when
     the component order is not linear."""
-    follows = nx.DiGraph()
-    follows.add_nodes_from(symbols)
+    follows: dict[str, set[str]] = {symbol: set() for symbol in symbols}
     for word in words:
         for left, right in zip(word, word[1:]):
-            follows.add_edge(left, right)
-
-    condensation = nx.condensation(follows)
+            follows[left].add(right)
+    graph = condense(symbols, follows.__getitem__)
 
     # Group components by longest-path level: incomparable components at
     # the same level (e.g. the author/editor alternatives of the bib DTD)
     # merge into one disjunction factor.  The caller re-checks the final
     # model against all words, so any imprecision of this heuristic falls
     # back to the sound star-generalization.
-    level: dict[int, int] = {}
-    for scc_id in nx.topological_sort(condensation):
-        preds = list(condensation.predecessors(scc_id))
-        level[scc_id] = 1 + max(
-            (level[p] for p in preds), default=-1
-        )
+    level: list[int] = []
+    for preds in graph.predecessors:
+        level.append(1 + max((level[p] for p in preds), default=-1))
     by_level: dict[int, list[str]] = {}
-    for scc_id, depth in level.items():
-        members = condensation.nodes[scc_id]["members"]
+    for members, depth in zip(graph.components, level):
         by_level.setdefault(depth, []).extend(members)
 
     factors = [

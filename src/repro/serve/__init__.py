@@ -5,8 +5,8 @@ long-running, multi-tenant network service: a JSON-lines-over-TCP
 asyncio server (:mod:`.server`) whose ``analyze`` endpoint funnels
 concurrent requests through a micro-batching admission queue
 (:mod:`.batching`) into coalesced ``analyze_matrix`` calls, with every
-verdict written through to a restart-surviving SQLite store
-(:mod:`.store`) and schemas hosted in an LRU-bounded registry
+verdict written through to a restart-surviving store
+(:mod:`repro.storage`) and schemas hosted in an LRU-bounded registry
 (:mod:`.registry`).
 
 With ``shards > 1`` the service becomes a schema-affinity **router**
@@ -41,7 +41,6 @@ from .server import (
     run_service,
 )
 from .sharding import ShardLink, builtin_digest, shard_for
-from .store import VerdictStore
 
 __all__ = [
     "ANALYSIS_MODES",
@@ -57,7 +56,6 @@ __all__ = [
     "ShardLink",
     "ShardedService",
     "UnknownSchemaError",
-    "VerdictStore",
     "WireVerdict",
     "builtin_digest",
     "decode_request",

@@ -39,9 +39,8 @@ from typing import TYPE_CHECKING
 from ..obs.metrics import STORE_OP_SECONDS
 
 if TYPE_CHECKING:  # imported lazily at runtime: repro.docstore's
-    # package init imports the legacy DocumentBackend adapter, which
-    # imports this module back (a cycle a module-level import would
-    # trip when repro.storage loads first).
+    # package init re-exports StoredDocument from this module (a cycle
+    # a module-level import would trip when repro.storage loads first).
     from ..docstore.encode import IndexedStore, IndexedTree
 
 #: Node-table row shape shared by every backend:

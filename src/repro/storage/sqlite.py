@@ -1,8 +1,7 @@
 """SQLite storage backend: one WAL database for verdicts + documents.
 
-This module owns every pragma the repo applies to a SQLite store --
-previously duplicated (with drift) between ``serve/store.py`` and
-``docstore/backend.py`` -- in one :func:`connect` factory.  WAL keeps
+This module owns every pragma the repo applies to a SQLite store in
+one :func:`connect` factory.  WAL keeps
 readers unblocked and makes group commit cheap; it also supports
 writers in *separate processes*, which is what lets every shard of a
 sharded service share one store file.  A shard holding a

@@ -18,7 +18,6 @@ import repro.analysis.engine
 import repro.api
 import repro.docstore.adapter
 import repro.docstore.axes
-import repro.docstore.backend
 import repro.docstore.encode
 import repro.docstore.pushdown
 import repro.docstore.streamload
@@ -27,13 +26,13 @@ import repro.obs.export
 import repro.obs.metrics
 import repro.obs.plan
 import repro.obs.tracing
+import repro.schema.graph
 import repro.serve.batching
 import repro.serve.loadgen
 import repro.serve.protocol
 import repro.serve.registry
 import repro.serve.server
 import repro.serve.sharding
-import repro.serve.store
 import repro.storage
 import repro.storage.base
 import repro.storage.memory
@@ -45,7 +44,6 @@ MODULES = [
     repro.api,
     repro.docstore.adapter,
     repro.docstore.axes,
-    repro.docstore.backend,
     repro.docstore.encode,
     repro.docstore.pushdown,
     repro.docstore.streamload,
@@ -54,13 +52,13 @@ MODULES = [
     repro.obs.metrics,
     repro.obs.plan,
     repro.obs.tracing,
+    repro.schema.graph,
     repro.serve.batching,
     repro.serve.loadgen,
     repro.serve.protocol,
     repro.serve.registry,
     repro.serve.server,
     repro.serve.sharding,
-    repro.serve.store,
     repro.storage,
     repro.storage.base,
     repro.storage.memory,

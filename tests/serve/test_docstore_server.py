@@ -416,22 +416,22 @@ def test_named_reload_without_docstore_errors(xmark_file):
 
 def test_cli_persisted_projection_guard_over_the_wire(tmp_path,
                                                       xmark_file):
-    """`repro load --docstore` and the served reload agree on the
+    """`repro load --store URL` and the served reload agree on the
     projection-coverage meta (the two persistence writers share one
     format)."""
     from repro.cli import main as cli_main
 
-    db = str(tmp_path / "docs.sqlite")
+    url = f"sqlite:///{tmp_path / 'docs.sqlite'}"
     code = cli_main([
         "load", xmark_file, "--builtin", "xmark",
         "--project", "//emailaddress",
-        "--docstore", db, "--doc", "cli-doc",
+        "--store", url, "--doc", "cli-doc",
     ])
     assert code == 0
 
     async def run():
         async with running_service(
-            preload=("xmark",), doc_store_path=db,
+            preload=("xmark",), store_path=url,
         ) as (_, host, port):
             async with ServiceClient(host, port) as client:
                 covered = await client.call(

@@ -445,10 +445,9 @@ class TestRunStepsConformance:
 
 
 class TestSqlitePragmas:
-    """Satellite pin: the consolidated connection factory ends the
-    VerdictStore/DocumentBackend pragma drift -- every file-backed
-    sqlite connection (backend, legacy adapters alike) gets the same
-    pragmas."""
+    """The one connection factory gives every file-backed sqlite
+    connection (unified backend, verdict-only and documents-only
+    stores alike) the same pragmas."""
 
     def _pragmas(self, connection):
         from repro.storage.sqlite import PRAGMAS
@@ -471,22 +470,25 @@ class TestSqlitePragmas:
         }
 
     def test_every_file_connection_gets_them(self, tmp_path):
-        from repro.docstore.backend import DocumentBackend
-        from repro.serve.store import VerdictStore
-        from repro.storage.sqlite import PRAGMAS, SqliteBackend
+        from repro.storage.sqlite import (
+            PRAGMAS,
+            SqliteBackend,
+            SqliteDocumentStore,
+            SqliteVerdictKV,
+        )
 
         expected = dict(PRAGMAS)
         with SqliteBackend(str(tmp_path / "a.db")) as backend:
             assert self._pragmas(backend._connection) == expected
-        with VerdictStore(str(tmp_path / "b.db")) as store:
+        with SqliteVerdictKV(str(tmp_path / "b.db")) as store:
             assert self._pragmas(store._connection) == expected
-        with DocumentBackend(str(tmp_path / "c.db")) as docs:
+        with SqliteDocumentStore(str(tmp_path / "c.db")) as docs:
             assert self._pragmas(docs._conn) == expected
 
     def test_memory_connections_skip_file_pragmas(self):
-        from repro.serve.store import VerdictStore
+        from repro.storage.sqlite import SqliteVerdictKV
 
-        with VerdictStore() as store:
+        with SqliteVerdictKV() as store:
             mode = store._connection.execute(
                 "PRAGMA journal_mode"
             ).fetchone()[0]

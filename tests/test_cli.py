@@ -279,18 +279,18 @@ class TestLoadCommand:
 
     def test_load_persists_into_docstore(self, xmark_file, tmp_path,
                                          capsys):
-        from repro.docstore.backend import DocumentBackend
+        from repro.storage.sqlite import SqliteDocumentStore
 
         db = str(tmp_path / "docs.sqlite")
         code = main([
             "load", xmark_file, "--builtin", "xmark",
             "--project", "//emailaddress",
-            "--docstore", db, "--doc", "cli-doc",
+            "--store", f"sqlite:///{db}", "--doc", "cli-doc",
         ])
         assert code == 0
         assert "persisted" in capsys.readouterr().out
-        with DocumentBackend(db) as backend:
-            stored = backend.describe("cli-doc")
+        with SqliteDocumentStore(db) as documents:
+            stored = documents.describe("cli-doc")
             assert stored is not None
             # Same meta shape as the server's persistence, so a served
             # reload can check projection coverage.
@@ -298,7 +298,7 @@ class TestLoadCommand:
                 "projected": True,
                 "project_for": ["//emailaddress"],
             }
-            loaded, _ = backend.load("cli-doc")
+            loaded, _ = documents.load("cli-doc")
             assert loaded.size() == stored.nodes
 
     def test_load_store_url_persists_identically(self, xmark_file,
