@@ -77,12 +77,13 @@ def available_cores() -> int:
 
 @contextmanager
 def _store_file(tag: str):
-    """A throwaway SQLite path, WAL siblings cleaned up on exit."""
+    """A throwaway ``sqlite:///`` store URL, its file and WAL
+    siblings cleaned up on exit."""
     handle, path = tempfile.mkstemp(prefix=f"repro-serve-{tag}-",
                                     suffix=".sqlite")
     os.close(handle)
     try:
-        yield path
+        yield f"sqlite:///{path}"
     finally:
         for suffix in ("", "-wal", "-shm"):
             if os.path.exists(path + suffix):
@@ -136,7 +137,7 @@ async def run_serve_bench_async(workload: dict | None = None,
         if mode == "oneshot":
             # Stateless mode never touches the store.
             reports[mode] = await _run_mode(
-                mode, ":memory:", workload, batch_window
+                mode, "memory://", workload, batch_window
             )
             continue
         if store is not None:

@@ -112,7 +112,7 @@ from .protocol import (
     ok_response,
     require,
 )
-from ..storage import open_storage_plan, serve_storage_plan
+from ..storage import open_store, parse_store_url
 from .registry import BUILTIN_SCHEMAS, SchemaRegistry, UnknownSchemaError
 from .sharding import (
     DIGEST_RE,
@@ -138,25 +138,21 @@ class ServeConfig:
     label a worker's ``/stats`` payload and namespace its document ids
     so the router can route document operations statelessly.
 
-    ``store_path`` accepts a **store URL** (``memory://``,
+    ``store_path`` is a **store URL** (``memory://``,
     ``sqlite:///path.db``, ``postgresql://host/db`` -- see
-    :mod:`repro.storage` and ``docs/STORAGE.md``); a URL is *unified*:
-    one backend persists verdicts and documents together, so
-    ``doc_store_path`` becomes unnecessary.  The legacy spellings keep
-    their historical semantics: ``":memory:"`` (default) is an
-    ephemeral verdict store, a plain path is a verdicts-only SQLite
-    file, and ``doc_store_path`` names a separate SQLite document
-    store (one node-table database per registry) -- loaded documents
-    persist there and are served from the table after a restart
-    instead of being re-parsed; empty (the default) disables
-    persistence.  With ``shards`` the backend, like the verdict store,
-    is shared by all shard workers.
+    :mod:`repro.storage` and ``docs/STORAGE.md``).  ``memory://`` (the
+    default) is an ephemeral verdict store and no document store.  A
+    file or server URL persists verdicts *and* documents in one
+    backend: loaded documents are saved as node tables and served from
+    the table after a restart instead of being re-parsed.  With
+    ``shards`` the backend is shared by all shard workers.  Anything
+    that is not a store URL (a plain path, ``":memory:"``) is a
+    :class:`ValueError` at construction.
     """
 
     host: str = "127.0.0.1"
     port: int = 8765
-    store_path: str = ":memory:"
-    doc_store_path: str = ""
+    store_path: str = "memory://"
     batch_window: float = 0.002
     max_batch: int = 512
     analysis_mode: str = "batched"
@@ -185,6 +181,7 @@ class ServeConfig:
             )
         if self.shards < 1:
             raise ValueError("shards must be >= 1")
+        parse_store_url(self.store_path)
 
 
 @dataclass
@@ -497,11 +494,8 @@ class IndependenceService(JsonLinesFront):
             slow_log_path=self.config.slow_log_path,
             metrics_port=self.config.metrics_port,
         )
-        self.storage_plan = serve_storage_plan(
-            self.config.store_path, self.config.doc_store_path
-        )
-        self._storage = open_storage_plan(self.storage_plan)
-        self.store = self._storage.verdicts
+        self._backend = open_store(self.config.store_path)
+        self.store = self._backend.verdicts
         self.registry = SchemaRegistry(
             store=self.store,
             max_schemas=self.config.max_schemas,
@@ -520,7 +514,10 @@ class IndependenceService(JsonLinesFront):
         #: Per-document load accounting (kept vs skipped-by-projection,
         #: provenance), mirrored into ``/stats``.
         self._doc_meta: dict[str, dict] = {}
-        self.docstore = self._storage.documents
+        # Only a shared backend (file or server) persists documents;
+        # memory:// keeps the historical no-document-store default.
+        self.docstore = self._backend.documents \
+            if self._backend.shared else None
         self._next_doc = 0
         self.document_evictions = 0
         #: ``doc.query`` answer-path counters (mirrored into
@@ -544,7 +541,7 @@ class IndependenceService(JsonLinesFront):
         """Drain the admission queue, stop the worker, close the stores."""
         await self.batcher.drain()
         self.batcher.close()
-        self._storage.close()
+        self._backend.close()
 
     # -- dispatch ------------------------------------------------------------
 
@@ -901,8 +898,9 @@ class IndependenceService(JsonLinesFront):
                 raise ProtocolError(
                     BAD_PARAMS,
                     f"doc {name!r} given without a source, but the "
-                    "service has no document store (--doc-store or a "
-                    "--store URL); pass xml/path or explicit bytes/seed",
+                    "service has no document store (start it with a "
+                    "file or server --store URL); pass xml/path or "
+                    "explicit bytes/seed",
                 )
             loaded = None
             # Only a reload request consults the store: explicit
@@ -1299,12 +1297,10 @@ class ShardedService(JsonLinesFront):
             metrics_port=config.metrics_port,
         )
         self.config = config
-        #: Resolved storage wiring (never opened router-side: the
-        #: router owns no stores, but stats aggregation needs to know
-        #: whether the shards share one backend or hold private ones).
-        self.storage_plan = serve_storage_plan(
-            config.store_path, config.doc_store_path
-        )
+        #: Backend kind (never opened router-side: the router owns no
+        #: stores, but stats aggregation needs to know whether the
+        #: shards share one backend or hold private ones).
+        self.store_kind = parse_store_url(config.store_path).kind
         self.max_aliases = max(
             self.MAX_ALIASES, config.max_schemas * config.shards
         )
@@ -1653,7 +1649,7 @@ class ShardedService(JsonLinesFront):
                 # true total is the sum.
                 "verdicts": (
                     sum(p["store"]["verdicts"] for p in per_shard)
-                    if self.storage_plan.verdicts.kind == "memory"
+                    if self.store_kind == "memory"
                     else max(
                         (p["store"]["verdicts"] for p in per_shard),
                         default=0,

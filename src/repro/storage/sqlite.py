@@ -36,8 +36,8 @@ from .base import (
 
 #: Pragmas applied to every file-backed connection (``":memory:"``
 #: databases skip them: WAL and mmap are meaningless without a file).
-#: Pinned by ``tests/storage/test_conformance.py`` so the two legacy
-#: stores can never drift apart again.
+#: Pinned by ``tests/storage/test_conformance.py`` so the verdict and
+#: document stores can never drift apart again.
 PRAGMAS = (
     ("journal_mode", "wal"),
     ("busy_timeout", 10000),

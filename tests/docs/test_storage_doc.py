@@ -3,9 +3,10 @@
 The storage document's load-bearing claims are diffed against their
 sources of truth: the URL scheme list against
 ``repro.storage.SCHEMES``, the pragma table against
-``repro.storage.sqlite.PRAGMAS``, and the migration section against
-the deprecation warnings the CLI actually emits.  The ``>>>`` examples
-run via ``tests/docs/test_doc_examples.py``.
+``repro.storage.sqlite.PRAGMAS``, and the removed-spellings table
+against what :func:`repro.storage.parse_store_url` refuses and
+accepts.  The ``>>>`` examples run via
+``tests/docs/test_doc_examples.py``.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.storage import SCHEMES, normalize_store_flags
+from repro.storage import SCHEMES, parse_store_url
 from repro.storage.sqlite import PRAGMAS
 
 DOC = Path(__file__).resolve().parents[2] / "docs" / "STORAGE.md"
@@ -23,6 +24,13 @@ DOC = Path(__file__).resolve().parents[2] / "docs" / "STORAGE.md"
 #: A pragma-table row looks like ``| `journal_mode` | `wal` | ... |``.
 PRAGMA_ROW = re.compile(r"^\| `([a-z_]+)` \| `([a-z0-9]+)` \|",
                         re.MULTILINE)
+
+#: A removed-spellings row: ``| `old spelling` | `replacement` |``.
+REMOVED_ROW = re.compile(r"^\| `([^`]+)` \| `([^`]+)` \|$", re.MULTILINE)
+
+#: The store value in a CLI spelling (any ``--...store`` flag) or a
+#: ``ServeConfig(..._path="...")`` call.
+STORE_VALUE = re.compile(r"--[a-z-]*store (\S+)|_path=\"([^\"]*)\"")
 
 
 def test_document_exists():
@@ -50,24 +58,38 @@ def test_pragma_table_matches_code():
     )
 
 
+def _removed_rows() -> list[tuple[str, str]]:
+    """The ``(removed, use instead)`` rows of the removed-spellings
+    note."""
+    note = DOC.read_text().split("## Removed spellings", 1)[1]
+    return REMOVED_ROW.findall(note.split("\n## ", 1)[0])
+
+
+def _store_value(spelling: str) -> str:
+    match = STORE_VALUE.search(spelling)
+    assert match, f"no store value in {spelling!r}"
+    return match.group(1) or match.group(2)
+
+
 def test_migration_documents_deprecated_spellings():
-    """Every deprecated flag spelling has a migration row."""
-    text = DOC.read_text()
-    for spelling in ("--store verdicts.db", "--doc-store", "--docstore",
-                     "sqlite:///verdicts.db", "DeprecationWarning"):
-        assert spelling in text, (
-            f"docs/STORAGE.md migration section lost {spelling!r}"
-        )
+    """Every deprecated spelling has a migration row: each row of the
+    removed-spellings note pairs a value the parser refuses with a
+    store URL it accepts (one row per removed serve, load and
+    ``ServeConfig`` spelling)."""
+    rows = _removed_rows()
+    assert len(rows) >= 5, rows
+    for old, new in rows:
+        with pytest.raises(ValueError):
+            parse_store_url(_store_value(old))
+        parse_store_url(_store_value(new))
 
 
-def test_deprecation_warnings_point_here():
-    """The warnings the CLI emits name this document, so following
-    them always lands on current migration guidance."""
-    with pytest.warns(DeprecationWarning) as caught:
-        normalize_store_flags("verdicts.db", "docs.db", stacklevel=1)
-    assert len(caught) == 2
-    for warning in caught:
-        assert "docs/STORAGE.md" in str(warning.message)
+def test_rejections_point_here():
+    """The error for a non-URL store names this document, so following
+    it always lands on the current spelling."""
+    for value in ("verdicts.db", ":memory:", ""):
+        with pytest.raises(ValueError, match="docs/STORAGE.md"):
+            parse_store_url(value)
 
 
 def test_cross_references():

@@ -84,11 +84,11 @@ def test_doc_load_explicit_id_and_bad_params(xmark_file):
 
 
 def test_persisted_document_survives_restart(tmp_path, xmark_file):
-    db = str(tmp_path / "docs.sqlite")
+    db = f"sqlite:///{tmp_path / 'docs.sqlite'}"
 
     async def first_run():
         async with running_service(
-            preload=("xmark",), doc_store_path=db,
+            preload=("xmark",), store_path=db,
         ) as (_, host, port):
             async with ServiceClient(host, port) as client:
                 loaded = await client.call(
@@ -108,7 +108,7 @@ def test_persisted_document_survives_restart(tmp_path, xmark_file):
 
     async def second_run():
         async with running_service(
-            preload=("xmark",), doc_store_path=db,
+            preload=("xmark",), store_path=db,
         ) as (_, host, port):
             async with ServiceClient(host, port) as client:
                 # Same doc id, no source: served from the node table.
@@ -135,11 +135,11 @@ def test_persisted_document_survives_restart(tmp_path, xmark_file):
 
 
 def test_generated_documents_persist_too(tmp_path):
-    db = str(tmp_path / "docs.sqlite")
+    db = f"sqlite:///{tmp_path / 'docs.sqlite'}"
 
     async def run():
         async with running_service(
-            preload=("xmark",), doc_store_path=db,
+            preload=("xmark",), store_path=db,
         ) as (_, host, port):
             async with ServiceClient(host, port) as client:
                 generated = await client.call(
@@ -149,7 +149,7 @@ def test_generated_documents_persist_too(tmp_path):
                 stats = await client.call("stats")
                 assert stats["docstore"]["saves"] == 1
         async with running_service(
-            preload=("xmark",), doc_store_path=db,
+            preload=("xmark",), store_path=db,
         ) as (_, host, port):
             async with ServiceClient(host, port) as client:
                 reloaded = await client.call("doc.load", schema="xmark",
@@ -184,11 +184,11 @@ def test_anonymous_ids_never_clobber_named_documents(xmark_file):
 
 
 def test_from_store_rejects_mismatched_schema(tmp_path, xmark_file):
-    db = str(tmp_path / "docs.sqlite")
+    db = f"sqlite:///{tmp_path / 'docs.sqlite'}"
 
     async def run():
         async with running_service(
-            preload=("xmark", "bib"), doc_store_path=db,
+            preload=("xmark", "bib"), store_path=db,
         ) as (_, host, port):
             async with ServiceClient(host, port) as client:
                 loaded = await client.call("doc.load", schema="xmark",
@@ -215,11 +215,11 @@ def test_named_reload_miss_is_an_error_not_generation(tmp_path):
     """Reloading a name the store does not hold (e.g. a typo) is
     refused -- never silently replaced by a generated document -- and
     the lookup shows up in the docstore miss counter."""
-    db = str(tmp_path / "docs.sqlite")
+    db = f"sqlite:///{tmp_path / 'docs.sqlite'}"
 
     async def run():
         async with running_service(
-            preload=("xmark",), doc_store_path=db,
+            preload=("xmark",), store_path=db,
         ) as (_, host, port):
             async with ServiceClient(host, port) as client:
                 missing = await client.call("doc.load", schema="xmark",
@@ -270,11 +270,11 @@ def test_persistence_key_survives_topology_change(tmp_path, xmark_file):
     """A document persisted unsharded reloads from the table on a
     sharded service (and vice versa) -- the node-table key is the
     unprefixed name."""
-    db = str(tmp_path / "docs.sqlite")
+    db = f"sqlite:///{tmp_path / 'docs.sqlite'}"
 
     async def run():
         async with running_service(
-            preload=("xmark",), doc_store_path=db,
+            preload=("xmark",), store_path=db,
         ) as (_, host, port):
             async with ServiceClient(host, port) as client:
                 loaded = await client.call(
@@ -283,7 +283,7 @@ def test_persistence_key_survives_topology_change(tmp_path, xmark_file):
                 )
                 assert loaded["ok"] and loaded["doc"] == "topo"
         async with running_service(
-            shards=2, preload=("xmark",), doc_store_path=db,
+            shards=2, preload=("xmark",), store_path=db,
         ) as (_, host, port):
             async with ServiceClient(host, port) as client:
                 reloaded = await client.call("doc.load",
@@ -330,11 +330,11 @@ def test_generated_documents_honor_project_for():
 
 
 def test_store_hit_rejects_uncovered_projection(tmp_path, xmark_file):
-    db = str(tmp_path / "docs.sqlite")
+    db = f"sqlite:///{tmp_path / 'docs.sqlite'}"
 
     async def run():
         async with running_service(
-            preload=("xmark",), doc_store_path=db,
+            preload=("xmark",), store_path=db,
         ) as (_, host, port):
             async with ServiceClient(host, port) as client:
                 await client.call(
@@ -343,7 +343,7 @@ def test_store_hit_rejects_uncovered_projection(tmp_path, xmark_file):
                     project_for=["//emailaddress", "//person/name"],
                 )
         async with running_service(
-            preload=("xmark",), doc_store_path=db,
+            preload=("xmark",), store_path=db,
         ) as (_, host, port):
             async with ServiceClient(host, port) as client:
                 # Covered subset: served from the store.
@@ -369,11 +369,11 @@ def test_malformed_project_for_rejected_on_every_branch(tmp_path,
                                                         xmark_file):
     """A non-list project_for is bad-params on the from-store branch
     too, not a TypeError surfacing as an internal error."""
-    db = str(tmp_path / "docs.sqlite")
+    db = f"sqlite:///{tmp_path / 'docs.sqlite'}"
 
     async def run():
         async with running_service(
-            preload=("xmark",), doc_store_path=db,
+            preload=("xmark",), store_path=db,
         ) as (_, host, port):
             async with ServiceClient(host, port) as client:
                 await client.call("doc.load", schema="xmark",
@@ -396,7 +396,8 @@ def test_malformed_project_for_rejected_on_every_branch(tmp_path,
 
 def test_named_reload_without_docstore_errors(xmark_file):
     """doc.load naming a document with no source on a service without
-    --doc-store must refuse, not silently generate under that name."""
+    a document store (the ``memory://`` default) must refuse, not
+    silently generate under that name."""
 
     async def run():
         async with running_service(preload=("xmark",)) as (_, host, port):
@@ -452,11 +453,11 @@ def test_cli_persisted_projection_guard_over_the_wire(tmp_path,
 def test_explicit_generation_not_shadowed_by_store(tmp_path):
     """doc.load with bytes/seed is a generation request even when a
     document with that id is persisted."""
-    db = str(tmp_path / "docs.sqlite")
+    db = f"sqlite:///{tmp_path / 'docs.sqlite'}"
 
     async def run():
         async with running_service(
-            preload=("xmark",), doc_store_path=db,
+            preload=("xmark",), store_path=db,
         ) as (_, host, port):
             async with ServiceClient(host, port) as client:
                 first = await client.call("doc.load", schema="xmark",
@@ -484,11 +485,11 @@ def test_doc_query_modes_and_stats(tmp_path, xmark_file):
     materializations -- the docstore hit counter stays at 0), and
     transient materialize-then-evaluate for queries outside the
     fragment."""
-    db = str(tmp_path / "docs.sqlite")
+    db = f"sqlite:///{tmp_path / 'docs.sqlite'}"
 
     async def run():
         async with running_service(
-            preload=("xmark",), doc_store_path=db,
+            preload=("xmark",), store_path=db,
         ) as (_, host, port):
             async with ServiceClient(host, port) as client:
                 await client.call("doc.load", schema="xmark",
@@ -501,7 +502,7 @@ def test_doc_query_modes_and_stats(tmp_path, xmark_file):
                 assert not warm["from_store"]
                 assert warm["count"] == len(warm["answers"]) > 0
         async with running_service(
-            preload=("xmark",), doc_store_path=db,
+            preload=("xmark",), store_path=db,
         ) as (_, host, port):
             async with ServiceClient(host, port) as client:
                 pushed = await client.call(
@@ -543,11 +544,11 @@ def test_doc_query_rejects_uncovered_projection(tmp_path, xmark_file):
     outside its recorded project_for set instead of silently answering
     from the narrower node table (mirrors the doc.load store-hit
     guard)."""
-    db = str(tmp_path / "docs.sqlite")
+    db = f"sqlite:///{tmp_path / 'docs.sqlite'}"
 
     async def run():
         async with running_service(
-            preload=("xmark",), doc_store_path=db,
+            preload=("xmark",), store_path=db,
         ) as (_, host, port):
             async with ServiceClient(host, port) as client:
                 await client.call(
@@ -555,7 +556,7 @@ def test_doc_query_rejects_uncovered_projection(tmp_path, xmark_file):
                     doc="proj", project_for=["//emailaddress"],
                 )
         async with running_service(
-            preload=("xmark",), doc_store_path=db,
+            preload=("xmark",), store_path=db,
         ) as (_, host, port):
             async with ServiceClient(host, port) as client:
                 covered = await client.call(
@@ -581,11 +582,11 @@ def test_doc_query_rejects_uncovered_projection(tmp_path, xmark_file):
 
 
 def test_doc_query_error_paths(tmp_path, xmark_file):
-    db = str(tmp_path / "docs.sqlite")
+    db = f"sqlite:///{tmp_path / 'docs.sqlite'}"
 
     async def run():
         async with running_service(
-            preload=("xmark", "bib"), doc_store_path=db,
+            preload=("xmark", "bib"), store_path=db,
         ) as (_, host, port):
             async with ServiceClient(host, port) as client:
                 await client.call("doc.load", schema="xmark",
@@ -609,7 +610,7 @@ def test_doc_query_error_paths(tmp_path, xmark_file):
                 assert not bad_limit["ok"]
                 assert bad_limit["error"]["code"] == "bad-params"
         async with running_service(
-            preload=("xmark", "bib"), doc_store_path=db,
+            preload=("xmark", "bib"), store_path=db,
         ) as (_, host, port):
             async with ServiceClient(host, port) as client:
                 # Persisted under xmark; querying as bib must refuse
@@ -649,11 +650,11 @@ def test_sharded_anonymous_names_are_shard_scoped(xmark_file):
 
 
 def test_sharded_stats_aggregate_docstore(tmp_path, xmark_file):
-    db = str(tmp_path / "docs.sqlite")
+    db = f"sqlite:///{tmp_path / 'docs.sqlite'}"
 
     async def run():
         async with running_service(
-            shards=2, preload=("xmark",), doc_store_path=db,
+            shards=2, preload=("xmark",), store_path=db,
         ) as (_, host, port):
             async with ServiceClient(host, port) as client:
                 loaded = await client.call(

@@ -1,18 +1,20 @@
-"""Store-URL configs serve byte-identically to the legacy flag pair.
+"""A store URL is the one way to configure a service's storage.
 
-The acceptance bar for the unified ``--store URL`` API: a service on
-``--store sqlite:///x.db`` and a service on the deprecated spellings
-(plain-path ``--store`` + ``--doc-store``) must report identical
-``/stats`` storage counters for the same workload -- same verdict
-counts, same docstore hit/miss/save accounting, same document detail.
-Only the reported ``path`` strings may differ (they echo the flags).
+A file URL (``sqlite:///x.db``) persists verdicts and documents in one
+backend and reports its target in ``/stats``; ``memory://`` is the
+default and runs without a document store; anything that is not a
+store URL is refused when the config is built, before a socket is
+bound or a shard worker spawned.
 """
 
 from __future__ import annotations
 
 import asyncio
 
-from repro.storage import serve_storage_plan
+import pytest
+
+from repro.serve.server import ServeConfig
+from repro.storage import parse_store_url
 
 from .util import ServiceClient, running_service
 
@@ -49,34 +51,6 @@ async def _drive(**config_kwargs) -> dict:
             return stats
 
 
-def _storage_counters(stats: dict) -> dict:
-    """The storage-relevant ``/stats`` sections, paths redacted (the
-    path echoes the flag spelling; everything else must match)."""
-    store = dict(stats["store"])
-    docstore = dict(stats["docstore"])
-    store.pop("path", None)
-    docstore.pop("path", None)
-    return {
-        "store": store,
-        "docstore": docstore,
-        "documents": stats["documents"],
-        "documents_detail": stats["documents_detail"],
-    }
-
-
-def test_url_and_legacy_flag_counters_match(tmp_path):
-    """`--store sqlite:///x.db` == `--store a.db --doc-store b.db` on
-    every storage counter (paths aside)."""
-    unified = asyncio.run(_drive(
-        store_path=f"sqlite:///{tmp_path / 'unified.db'}",
-    ))
-    legacy = asyncio.run(_drive(
-        store_path=str(tmp_path / "verdicts.db"),
-        doc_store_path=str(tmp_path / "docs.db"),
-    ))
-    assert _storage_counters(unified) == _storage_counters(legacy)
-
-
 def test_url_reported_paths_echo_the_url(tmp_path):
     """The unified service reports its configured URL targets."""
     url = f"sqlite:///{tmp_path / 'unified.db'}"
@@ -85,10 +59,50 @@ def test_url_reported_paths_echo_the_url(tmp_path):
     assert stats["docstore"]["enabled"] is True
 
 
-def test_memory_url_matches_default_ephemeral(tmp_path):
-    """`memory://` is the URL spelling of the historical default: no
-    document store, ephemeral verdicts."""
-    plan_url = serve_storage_plan("memory://")
-    plan_default = serve_storage_plan(":memory:")
-    assert plan_url.verdicts == plan_default.verdicts
-    assert plan_url.documents is None is plan_default.documents
+async def _default_stats() -> dict:
+    """``/stats`` of a service on the default config, after one
+    analysis."""
+    async with running_service(preload=("bib",)) as (_, host, port):
+        async with ServiceClient(host, port) as client:
+            response = await client.call(
+                "analyze", schema="bib", query=PAIRS[0][0],
+                update=PAIRS[0][1],
+            )
+            assert response["ok"], response
+            stats = await client.call("stats")
+            assert stats["ok"], stats
+            return stats
+
+
+def test_memory_url_matches_default_ephemeral():
+    """The default store is `memory://`: ephemeral verdicts and no
+    document store."""
+    assert ServeConfig().store_path == "memory://"
+    stats = asyncio.run(_default_stats())
+    assert stats["docstore"] == {"enabled": False}
+    assert stats["store"]["verdicts"] == 1
+
+
+@pytest.mark.parametrize("value, hint", [
+    ("", "'memory://'"),
+    (":memory:", "'memory://'"),
+    ("verdicts.db", "'sqlite:///verdicts.db'"),
+    ("/var/x.db", "'sqlite:////var/x.db'"),
+])
+def test_non_url_rejected_with_the_url_to_use(value, hint):
+    """A plain path, `:memory:` or nothing is not a store URL; the
+    error names the URL that replaces it."""
+    with pytest.raises(ValueError, match=hint):
+        parse_store_url(value)
+
+
+@pytest.mark.parametrize("config", [
+    {"store_path": "verdicts.db"},
+    {"store_path": ":memory:"},
+    {"shards": 2, "store_path": "x.db"},
+])
+def test_serveconfig_rejects_non_url(config):
+    """`ServeConfig` refuses a non-URL store in `__post_init__`, so no
+    service object, socket or shard worker ever exists for it."""
+    with pytest.raises(ValueError, match="sqlite:///|memory://"):
+        ServeConfig(**config)

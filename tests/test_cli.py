@@ -176,7 +176,6 @@ class TestParserMatchesConfigs:
         assert args.host == config.host
         assert args.port == config.port
         assert args.store == config.store_path
-        assert args.doc_store == config.doc_store_path
         assert args.window / 1e3 == config.batch_window
         assert args.max_batch == config.max_batch
         assert args.mode == config.analysis_mode
@@ -303,25 +302,18 @@ class TestLoadCommand:
 
     def test_load_store_url_persists_identically(self, xmark_file,
                                                  tmp_path, capsys):
-        """The deprecated --docstore spelling and the store-URL
-        spelling write byte-identical node tables (the URL database
-        additionally carries the unified verdict facet)."""
+        """A `--store` URL load writes the same node table an in-process
+        load saves (the URL database also carries the verdict facet)."""
         import sqlite3
-        import warnings
 
-        legacy_db = str(tmp_path / "legacy.sqlite")
+        from repro.docstore.streamload import load_path
+        from repro.storage import open_store
+
         url_db = str(tmp_path / "unified.sqlite")
-        with pytest.warns(DeprecationWarning, match="--docstore"):
-            assert main([
-                "load", xmark_file, "--builtin", "xmark",
-                "--docstore", legacy_db, "--doc", "d",
-            ]) == 0
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            assert main([
-                "load", xmark_file, "--builtin", "xmark",
-                "--store", f"sqlite:///{url_db}", "--doc", "d",
-            ]) == 0
+        assert main([
+            "load", xmark_file, "--builtin", "xmark",
+            "--store", f"sqlite:///{url_db}", "--doc", "d",
+        ]) == 0
         out = capsys.readouterr().out
         assert f"sqlite:///{url_db}" in out
 
@@ -332,8 +324,15 @@ class TestLoadCommand:
                     "FROM nodes WHERE doc = 'd' ORDER BY loc"
                 ).fetchall()
 
-        legacy_rows = rows(legacy_db)
-        assert legacy_rows and legacy_rows == rows(url_db)
+        direct_db = str(tmp_path / "direct.sqlite")
+        with open_store(f"sqlite:///{direct_db}") as backend:
+            backend.documents.save("d", load_path(xmark_file).tree, "x")
+        url_rows = rows(url_db)
+        assert url_rows and url_rows == rows(direct_db)
+        with sqlite3.connect(url_db) as conn:
+            assert conn.execute(
+                "SELECT COUNT(*) FROM verdicts"
+            ).fetchone() == (0,)
 
     def test_docstore_bench_parser_defaults(self):
         from repro.cli import build_parser
@@ -407,9 +406,9 @@ class TestMetricsCommand:
 
 
 class TestStoreURLs:
-    """Deprecation hygiene for the unified store-URL flags: old
-    spellings warn (once, at the CLI layer only) and resolve to the
-    same backends as their URL replacements."""
+    """A store URL is the only storage spelling: the CLI refuses a
+    plain path, naming the URL to use, before it binds a socket,
+    loads a document or writes a file."""
 
     @pytest.fixture()
     def serve_stub(self, monkeypatch):
@@ -424,21 +423,42 @@ class TestStoreURLs:
 
         monkeypatch.setattr("repro.serve.server.run_service",
                             run_service)
-        monkeypatch.setattr(asyncio, "run",
-                            lambda coro: asyncio.new_event_loop()
-                            .run_until_complete(coro))
+        def run(coro):
+            loop = asyncio.new_event_loop()
+            try:
+                return loop.run_until_complete(coro)
+            finally:
+                loop.close()
+
+        monkeypatch.setattr(asyncio, "run", run)
         return configs
 
-    def test_serve_plain_store_path_warns(self, serve_stub, capsys):
-        with pytest.warns(DeprecationWarning,
-                          match="plain-path --store"):
-            assert main(["serve", "--store", "verdicts.db"]) == 0
-        assert serve_stub[0].store_path == "verdicts.db"
+    @pytest.fixture()
+    def workdir(self, tmp_path, monkeypatch):
+        """An empty working directory (so a written store would show)
+        beside a small bib document; yields ``(cwd, document)``."""
+        document = tmp_path / "bib.xml"
+        document.write_text("<bib><book><title>a</title></book></bib>")
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        return cwd, str(document)
 
-    def test_serve_doc_store_flag_warns(self, serve_stub, capsys):
-        with pytest.warns(DeprecationWarning, match="--doc-store"):
-            assert main(["serve", "--doc-store", "docs.db"]) == 0
-        assert serve_stub[0].doc_store_path == "docs.db"
+    @staticmethod
+    def _refused(argv, capsys) -> str:
+        """Run ``argv``; assert a non-zero usage exit and return the
+        error text."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code not in (0, None)
+        return capsys.readouterr().err
+
+    def test_serve_plain_store_path_rejected(self, serve_stub, capsys,
+                                             workdir):
+        err = self._refused(["serve", "--store", "verdicts.db"], capsys)
+        assert "sqlite:///verdicts.db" in err
+        assert serve_stub == []
+        assert list(workdir[0].iterdir()) == []
 
     def test_serve_store_url_never_warns(self, serve_stub, capsys):
         import warnings
@@ -450,33 +470,33 @@ class TestStoreURLs:
             ]) == 0
         assert serve_stub[0].store_path == "sqlite:///verdicts.db"
 
-    def test_programmatic_config_never_warns(self):
-        """Only the CLI warns; building a ServeConfig with legacy
-        values directly stays silent (libraries must not nag)."""
+    def test_programmatic_config_never_warns(self, tmp_path):
+        """Building a ServeConfig and opening its backend directly
+        stays silent for every local store URL (libraries must not
+        nag)."""
+        import asyncio
+        import gc
         import warnings
 
-        from repro.serve.server import ServeConfig
-        from repro.storage import serve_storage_plan
+        from repro.serve.server import IndependenceService, ServeConfig
 
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            config = ServeConfig(store_path="verdicts.db",
-                                 doc_store_path="docs.db")
-            serve_storage_plan(config.store_path,
-                               config.doc_store_path)
+        gc.collect()  # earlier tests' garbage must not warn in here
+        for url in ("memory://", f"sqlite:///{tmp_path / 'v.db'}"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                service = IndependenceService(
+                    ServeConfig(port=0, store_path=url))
+                asyncio.run(service.aclose())
 
-    def test_old_and_new_spellings_resolve_identically(self):
-        """The deprecated flags and their URL replacements map to the
-        same backend specs (so behavior cannot drift apart)."""
-        from repro.storage import serve_storage_plan
+    def test_load_plain_store_path_rejected(self, capsys, workdir):
+        cwd, document = workdir
+        err = self._refused(["load", document, "--builtin", "bib",
+                             "--store", "docs.db"], capsys)
+        assert "sqlite:///docs.db" in err
+        assert list(cwd.iterdir()) == []
 
-        legacy = serve_storage_plan("verdicts.db")
-        unified = serve_storage_plan("sqlite:///verdicts.db")
-        assert legacy.verdicts == unified.verdicts
-        # ... except that only the URL also persists documents:
-        assert legacy.documents is None
-        assert unified.documents == unified.verdicts
-
-        legacy_docs = serve_storage_plan(":memory:", "docs.db")
-        unified_docs = serve_storage_plan("sqlite:///docs.db")
-        assert legacy_docs.documents == unified_docs.documents
+    def test_query_plain_store_path_rejected(self, capsys, workdir):
+        err = self._refused(["query", "//title", "--store", "docs.db",
+                             "--doc", "d"], capsys)
+        assert "sqlite:///docs.db" in err
+        assert list(workdir[0].iterdir()) == []
