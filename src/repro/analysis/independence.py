@@ -279,12 +279,3 @@ def is_independent(query: Query | str, update: Update | str,
     """Boolean convenience wrapper around :func:`analyze`."""
     return analyze(query, update, schema, k=k,
                    collect_witnesses=False).independent
-
-
-def __getattr__(name: str):
-    # Historical home of AnalysisEngine; the batch engine now lives in
-    # repro.analysis.engine (lazy import avoids a module cycle).
-    if name == "AnalysisEngine":
-        from .engine import AnalysisEngine
-        return AnalysisEngine
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

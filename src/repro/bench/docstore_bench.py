@@ -100,7 +100,7 @@ def _cold_start_leg(indexed, say) -> dict:
     rows and evaluates in memory -- the cost the pushdown exists to
     avoid on restart.
     """
-    from ..storage.sqlite import SqliteDocumentStore
+    from ..storage import open_store
 
     query = parse_query(COLD_START_QUERY)
     reference = [
@@ -111,23 +111,23 @@ def _cold_start_leg(indexed, say) -> dict:
     steps = compile_query(query)
     assert steps is not None, "cold-start query must be pushdown-eligible"
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "corpus.db")
-        store = SqliteDocumentStore(path)
-        started = time.perf_counter()
-        store.save("corpus", indexed, "bench")
-        save_seconds = time.perf_counter() - started
-        store.close()
+        url = "sqlite:///" + os.path.join(tmp, "corpus.db")
+        with open_store(url) as backend:
+            started = time.perf_counter()
+            backend.documents.save("corpus", indexed, "bench")
+            save_seconds = time.perf_counter() - started
 
         started = time.perf_counter()
-        fresh = SqliteDocumentStore(path)
-        locs = fresh.run_steps("corpus", steps)
-        pushdown_answers = serialize_answers(fresh, "corpus", locs)
+        fresh = open_store(url)
+        locs = fresh.documents.run_steps("corpus", steps)
+        pushdown_answers = serialize_answers(fresh.documents, "corpus",
+                                             locs)
         pushdown_seconds = time.perf_counter() - started
         fresh.close()
 
         started = time.perf_counter()
-        fresh = SqliteDocumentStore(path)
-        tree, _ = fresh.load("corpus")
+        fresh = open_store(url)
+        tree, _ = fresh.documents.load("corpus")
         materialized_answers = [
             serialize(tree.store, loc)
             for loc in evaluate_query(query, tree.store,

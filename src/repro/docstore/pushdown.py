@@ -21,9 +21,9 @@ drives fuzzer-generated documents and queries through both paths and
 diffs the serialized answers.
 
 :func:`run_steps_on_tree` is the in-memory reference implementation of
-the step semantics (via the axis accelerators); the memory backend
-answers ``run_steps`` through it, keeping the conformance suite
-three-way.  :func:`serialize_rows` serializes an answer subtree
+the step semantics (via the axis accelerators) that the conformance
+and differential suites diff the SQL pushdown against.
+:func:`serialize_rows` serializes an answer subtree
 straight from its node rows -- byte-identical to
 :func:`repro.xmldm.serialize.serialize` on the materialized tree -- so
 even answer serialization needs no materialization.
@@ -208,9 +208,8 @@ def run_steps_on_tree(tree, steps, *, dedup: bool = False) -> list[int]:
     desugared query: per-context matches in document order,
     concatenated in context order, duplicates preserved; ``position``
     keeps each context's n-th match; ``dedup`` collapses to distinct
-    locations in document order.  The memory backend answers
-    ``run_steps`` through this, and the differential suite uses it as
-    one of the three compared evaluators.
+    locations in document order.  The conformance and differential
+    suites compare every backend's ``run_steps`` against this.
     """
     check_steps(steps)
     store = tree.store

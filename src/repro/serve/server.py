@@ -141,13 +141,14 @@ class ServeConfig:
     ``store_path`` is a **store URL** (``memory://``,
     ``sqlite:///path.db``, ``postgresql://host/db`` -- see
     :mod:`repro.storage` and ``docs/STORAGE.md``).  ``memory://`` (the
-    default) is an ephemeral verdict store and no document store.  A
-    file or server URL persists verdicts *and* documents in one
-    backend: loaded documents are saved as node tables and served from
-    the table after a restart instead of being re-parsed.  With
+    default) keeps verdicts in a private in-memory SQLite database and
+    runs without a document store.  A file or server URL persists
+    verdicts *and* documents in one backend: loaded documents are
+    saved as node tables and served from the table after a restart
+    instead of being re-parsed.  With
     ``shards`` the backend is shared by all shard workers.  Anything
-    that is not a store URL (a plain path, ``":memory:"``) is a
-    :class:`ValueError` at construction.
+    that is not a store URL (a plain path, ``":memory:"``) or is
+    ``sqlite:///:memory:`` is a :class:`ValueError` at construction.
     """
 
     host: str = "127.0.0.1"
@@ -455,6 +456,15 @@ class JsonLinesFront:
 _KNOWN_OPS = frozenset(OPS)
 
 
+def _answer_in_memory(query, tree, limit):
+    """Evaluate ``query`` on a materialized tree: ``(locs, answers)``
+    with at most ``limit`` serialized answers (the ``materialized``
+    and ``fallback`` doc.query paths)."""
+    locs = evaluate_query(query, tree.store, {ROOT_VAR: [tree.root]})
+    take = locs if limit is None else locs[:limit]
+    return locs, [serialize(tree.store, loc) for loc in take]
+
+
 class IndependenceService(JsonLinesFront):
     """One unsharded service instance: registry + store + batcher + TCP.
 
@@ -515,7 +525,7 @@ class IndependenceService(JsonLinesFront):
         #: provenance), mirrored into ``/stats``.
         self._doc_meta: dict[str, dict] = {}
         # Only a shared backend (file or server) persists documents;
-        # memory:// keeps the historical no-document-store default.
+        # memory:// is private to this process: no document store.
         self.docstore = self._backend.documents \
             if self._backend.shared else None
         self._next_doc = 0
@@ -576,10 +586,12 @@ class IndependenceService(JsonLinesFront):
         # store.stats() scans the verdicts table; keep that off the
         # event loop so a monitoring poller can't stall live traffic.
         store_stats = await self._in_analysis_thread(self.store.stats)
+        store_stats["path"] = self.config.store_path
         if self.docstore is not None:
             docstore_stats = await self._in_analysis_thread(
                 self.docstore.stats
             )
+            docstore_stats["path"] = self.config.store_path
             docstore_stats["enabled"] = True
         else:
             docstore_stats = {"enabled": False}
@@ -1066,19 +1078,10 @@ class IndependenceService(JsonLinesFront):
         cache = self._documents.get(doc_id)
         if cache is not None:
             self._documents.move_to_end(doc_id)
-            tree = cache.tree
-
-            def run_materialized():
-                locs = evaluate_query(query, tree.store,
-                                      {ROOT_VAR: [tree.root]})
-                take = locs if limit is None else locs[:limit]
-                return locs, [serialize(tree.store, loc)
-                              for loc in take]
-
             t0 = time.perf_counter()
             with span("engine"):
                 locs, answers = await self._in_analysis_thread(
-                    run_materialized
+                    _answer_in_memory, query, cache.tree, limit
                 )
             obs_metrics.DOC_QUERY_SECONDS.labels(
                 mode="materialized"
@@ -1159,12 +1162,7 @@ class IndependenceService(JsonLinesFront):
                         UNKNOWN_DOC,
                         f"document not persisted: {name!r}",
                     )
-                tree, _ = loaded
-                locs = evaluate_query(query, tree.store,
-                                      {ROOT_VAR: [tree.root]})
-                take = locs if limit is None else locs[:limit]
-                return locs, [serialize(tree.store, loc)
-                              for loc in take]
+                return _answer_in_memory(query, loaded[0], limit)
 
             t0 = time.perf_counter()
             with span("engine"):

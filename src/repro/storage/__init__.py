@@ -2,7 +2,7 @@
 
 A single **store URL** selects where verdicts and documents live::
 
-    memory://                     ephemeral per-process dicts
+    memory://                     in-memory SQLite database, per process
     sqlite:///relative/path.db    one WAL SQLite file (both facets)
     sqlite:////absolute/path.db   (four slashes = absolute path)
     postgresql://host/db          shared PostgreSQL server (psycopg)
@@ -73,6 +73,8 @@ def parse_store_url(url: str) -> BackendSpec:
     :class:`ValueError` on an unknown scheme, a malformed URL, or a
     value that is not a URL at all (a plain path, ``":memory:"``, an
     empty string) -- the message then names the URL to use instead.
+    ``sqlite:///:memory:`` is refused the same way: an in-memory
+    database is spelled ``memory://``.
     """
     if "://" not in url:
         hint = "memory://" if url in ("", ":memory:") \
@@ -98,6 +100,11 @@ def parse_store_url(url: str) -> BackendSpec:
             raise ValueError(
                 f"malformed store URL {url!r}: empty database path"
             )
+        if path == ":memory:":
+            raise ValueError(
+                f"{url!r} names no file; use 'memory://' "
+                "(see docs/STORAGE.md)"
+            )
         return BackendSpec("sqlite", path)
     if url.startswith("postgresql://") or url.startswith("postgres://"):
         dsn = url.replace("postgres://", "postgresql://", 1)
@@ -113,9 +120,9 @@ def open_store(url: str) -> StorageBackend:
     """Open the :class:`StorageBackend` a store URL names."""
     spec = parse_store_url(url)
     if spec.kind == "memory":
-        from .memory import MemoryBackend
+        from .sqlite import SqliteMemoryBackend
 
-        return MemoryBackend()
+        return SqliteMemoryBackend()
     if spec.kind == "sqlite":
         from .sqlite import SqliteBackend
 

@@ -16,10 +16,10 @@ serving layer needs:
   answer axis traversals *inside* the database so persisted documents
   can be navigated without full re-materialization.
 
-Implementations: :mod:`repro.storage.memory` (per-process dicts),
-:mod:`repro.storage.sqlite` (one WAL database shared by multi-process
-shard writers), and :mod:`repro.storage.postgres` (one server shared by
-many hosts; psycopg-gated).  The conformance suite in
+Implementations: :mod:`repro.storage.sqlite` (one WAL database shared
+by multi-process shard writers, or a private ``:memory:`` database
+for ``memory://``) and :mod:`repro.storage.postgres` (one server
+shared by many hosts; psycopg-gated).  The conformance suite in
 ``tests/storage/test_conformance.py`` runs the same assertions against
 every backend.
 
@@ -442,13 +442,11 @@ class DocumentStore:
         Starts at the document root and returns answer locations with
         the in-memory evaluator's nested-loop sequence semantics (see
         :class:`StepSpec`); with ``dedup`` the answer collapses to
-        distinct locations in document order.  The SQL backends answer
-        with one :func:`compile_steps_sql` query -- range predicates on
+        distinct locations in document order.  Backends answer with
+        one :func:`compile_steps_sql` query -- range predicates on
         ``(pre, pre + size)``, a parent-join for child steps, window
-        functions for positional predicates; the memory backend
-        answers through the in-memory axis accelerators, keeping the
-        conformance suite three-way.  Raises :class:`KeyError` when
-        ``doc`` is not persisted.
+        functions for positional predicates.  Raises :class:`KeyError`
+        when ``doc`` is not persisted.
         """
         raise NotImplementedError
 
@@ -456,16 +454,13 @@ class DocumentStore:
                       dedup: bool = False) -> dict:
         """How this backend would answer :meth:`run_steps` for ``doc``.
 
-        Returns a JSON-ready record -- at least ``{"engine", "sql",
-        "params"}`` -- without touching the database: the SQL backends
-        report the exact parameterized query
-        :func:`compile_steps_sql` would run (their plan is the SQL);
-        tree-walking backends report ``engine="tree"`` with no SQL.
-        This is what the ``pushdown: compiled`` plan decision and the
-        ``repro explain`` CLI surface.
+        Returns a JSON-ready record -- ``{"engine", "dialect", "sql",
+        "params"}`` -- without touching the database: the exact
+        parameterized query :func:`compile_steps_sql` would run (the
+        plan is the SQL).  This is what the ``pushdown: compiled``
+        plan decision and the ``repro explain`` CLI surface.
         """
-        check_steps(steps)
-        return {"engine": "tree", "sql": None, "params": []}
+        raise NotImplementedError
 
     def subtree_rows(self, doc: str, loc: int) -> list[tuple]:
         """The contiguous pre-order row slice of the subtree at

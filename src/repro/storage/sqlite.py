@@ -10,9 +10,10 @@ blocks other shards' commits, so the write lock gets a generous
 ``busy_timeout`` instead of surfacing ``SQLITE_BUSY``; ``mmap_size``
 lets node-table range scans come straight from page-cache mappings.
 
-Both facets can share one connection (and one lock) when opened as a
-unified :class:`SqliteBackend`, so ``sqlite:///x.db`` holds verdicts
-*and* documents in a single file.
+Both facets share one connection (and one lock) opened by
+:class:`SqliteBackend`, so ``sqlite:///x.db`` holds verdicts *and*
+documents in a single file; :class:`SqliteMemoryBackend` serves
+``memory://`` from a private ``:memory:`` database the same way.
 """
 
 from __future__ import annotations
@@ -115,20 +116,18 @@ def connect(path: str) -> sqlite3.Connection:
 class SqliteVerdictKV(VerdictKV):
     """SQLite-backed map from pair keys to slim verdicts.
 
-    Thread-safe: every connection access holds one lock.  ``":memory:"``
-    gives an ephemeral store with identical semantics.  Pass
-    ``connection``/``lock`` to share a database (and its transaction
-    scope) with a sibling :class:`SqliteDocumentStore`.
+    Opened by :class:`SqliteBackend` over its connection and lock (the
+    same shape as :class:`~repro.storage.postgres.PgVerdictKV`), so the
+    verdicts share a database and transaction scope with the sibling
+    :class:`SqliteDocumentStore`.  Thread-safe: every connection
+    access holds the lock.
     """
 
-    def __init__(self, path: str = ":memory:", *,
-                 connection: sqlite3.Connection | None = None,
-                 lock: threading.Lock | None = None):
+    def __init__(self, connection: sqlite3.Connection,
+                 lock: threading.Lock, path: str):
         self.path = path
-        self._owns_connection = connection is None
-        self._lock = lock if lock is not None else threading.Lock()
-        self._connection = connection if connection is not None \
-            else connect(path)
+        self._lock = lock
+        self._connection = connection
         self._deferred_depth = 0
         self._closed = False
         with self._lock:
@@ -225,38 +224,27 @@ class SqliteVerdictKV(VerdictKV):
         return {"path": self.path, "verdicts": self.count()}
 
     def close(self) -> None:
-        """Commit and close the connection (idempotent).
-
-        When the connection is shared with a backend, the backend owns
-        the close; this just commits pending writes.
-        """
+        """Commit pending writes (idempotent; the backend owns the
+        connection)."""
         with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-            self._connection.commit()
-            if self._owns_connection:
-                self._connection.close()
+            if not self._closed:
+                self._closed = True
+                self._connection.commit()
 
 
 class SqliteDocumentStore(DocumentStore):
     """The node-table database behind a service's loaded documents.
 
-    Thread-safe the same way :class:`SqliteVerdictKV` is: one
-    connection guarded by a lock.  Pass ``connection``/``lock`` to
-    share a database with a sibling verdict store.
+    Opened by :class:`SqliteBackend` over the connection and lock it
+    shares with the sibling :class:`SqliteVerdictKV`.
     """
 
-    def __init__(self, path: str, *,
-                 connection: sqlite3.Connection | None = None,
-                 lock: threading.Lock | None = None):
+    def __init__(self, connection: sqlite3.Connection,
+                 lock: threading.Lock, path: str):
         super().__init__()
         self.path = path
-        self._owns_connection = connection is None
-        self._lock = lock if lock is not None else threading.Lock()
-        self._conn = connection if connection is not None \
-            else connect(path)
-        self._closed = False
+        self._lock = lock
+        self._conn = connection
         with self._lock:
             self._conn.executescript(_DOCUMENT_SCHEMA)
             self._conn.commit()
@@ -427,14 +415,7 @@ class SqliteDocumentStore(DocumentStore):
         }
 
     def close(self) -> None:
-        """Close the connection (idempotent; shared connections are
-        closed by the owning backend)."""
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-            if self._owns_connection:
-                self._conn.close()
+        """Nothing to release: the backend owns the connection."""
 
 
 class SqliteBackend(StorageBackend):
@@ -454,18 +435,14 @@ class SqliteBackend(StorageBackend):
         self._lock = threading.Lock()
         self._connection = connect(path)
         self._closed = False
-        self.verdicts = SqliteVerdictKV(
-            path, connection=self._connection, lock=self._lock
-        )
+        self.verdicts = SqliteVerdictKV(self._connection, self._lock, path)
         self.documents = SqliteDocumentStore(
-            path, connection=self._connection, lock=self._lock
+            self._connection, self._lock, path
         )
 
     @property
     def url(self) -> str:
         """The canonical ``sqlite:///`` URL of this database."""
-        if self.path == ":memory:":
-            return "sqlite:///:memory:"
         return f"sqlite:///{self.path}"
 
     def close(self) -> None:
@@ -477,3 +454,23 @@ class SqliteBackend(StorageBackend):
                 return
             self._closed = True
             self._connection.close()
+
+
+class SqliteMemoryBackend(SqliteBackend):
+    """``memory://``: both facets over a private ``:memory:`` database.
+
+    Per-process and unshared -- two opens share nothing -- which is
+    why a service on it keeps no document store and the sharded
+    router sums per-shard verdict counts.
+    """
+
+    kind = "memory"
+    shared = False
+
+    def __init__(self):
+        super().__init__(":memory:")
+
+    @property
+    def url(self) -> str:
+        """The canonical ``memory://`` URL."""
+        return "memory://"

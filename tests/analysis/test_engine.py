@@ -303,11 +303,6 @@ class TestPairMemoBound:
 
 
 class TestEngineStats:
-    def test_cachestats_alias_survives(self):
-        from repro.analysis import CacheStats, EngineStats
-
-        assert CacheStats is EngineStats
-
     def test_as_dict_is_json_ready(self, bib):
         import json
 
@@ -325,7 +320,6 @@ class TestEngineStats:
 class TestBackwardsCompat:
     def test_legacy_signature_and_attributes(self, bib):
         engine = AnalysisEngine(bib, 4)
-        assert engine.k == 4
         assert engine.universe.depth_cap >= 1
         chains = engine.queries.infer_root(
             engine._query("//title")[1], "$doc"
@@ -336,11 +330,6 @@ class TestBackwardsCompat:
         engine = AnalysisEngine(bib)
         with pytest.raises(ValueError):
             _ = engine.universe
-
-    def test_importable_from_independence(self):
-        from repro.analysis.independence import AnalysisEngine as Legacy
-
-        assert Legacy is AnalysisEngine
 
     def test_independence_module_getattr_rejects_unknown(self):
         import repro.analysis.independence as independence

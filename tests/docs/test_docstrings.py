@@ -35,7 +35,6 @@ import repro.serve.server
 import repro.serve.sharding
 import repro.storage
 import repro.storage.base
-import repro.storage.memory
 import repro.storage.postgres
 import repro.storage.sqlite
 
@@ -61,7 +60,6 @@ MODULES = [
     repro.serve.sharding,
     repro.storage,
     repro.storage.base,
-    repro.storage.memory,
     repro.storage.postgres,
     repro.storage.sqlite,
 ]

@@ -2,11 +2,12 @@
 compaction of mutated trees, and counters."""
 
 import sqlite3
+from contextlib import contextmanager
 
 import pytest
 
 from repro.docstore.adapter import apply_update_indexed
-from repro.storage.sqlite import SqliteDocumentStore
+from repro.storage import open_store
 from repro.docstore.streamload import load_xml
 from repro.schema import bib_dtd, xmark_dtd
 from repro.xmldm import generate_document, serialize
@@ -20,6 +21,14 @@ def _indexed(dtd, byts, seed):
     return load_xml(serialize(tree.store, tree.root)).tree
 
 
+@contextmanager
+def _documents(path: str):
+    """The document facet of the SQLite store at ``path`` (closed on
+    exit)."""
+    with open_store(f"sqlite:///{path}") as backend:
+        yield backend.documents
+
+
 @pytest.fixture()
 def db_path(tmp_path):
     return str(tmp_path / "docs.sqlite")
@@ -28,7 +37,7 @@ def db_path(tmp_path):
 class TestRoundTrip:
     def test_save_load_identical(self, db_path):
         tree = _indexed(xmark_dtd(), 20_000, 3)
-        with SqliteDocumentStore(db_path) as backend:
+        with _documents(db_path) as backend:
             rows = backend.save("doc", tree, "digest-a",
                                 nodes_seen=999, subtrees_skipped=7,
                                 meta={"projected": True})
@@ -43,9 +52,9 @@ class TestRoundTrip:
 
     def test_survives_restart(self, db_path):
         tree = _indexed(bib_dtd(), 6_000, 5)
-        with SqliteDocumentStore(db_path) as backend:
+        with _documents(db_path) as backend:
             backend.save("doc", tree, "digest-b")
-        with SqliteDocumentStore(db_path) as backend:
+        with _documents(db_path) as backend:
             loaded, _ = backend.load("doc")
             assert serialize(loaded.store, loaded.root) == \
                 serialize(tree.store, tree.root)
@@ -60,7 +69,7 @@ class TestRoundTrip:
         apply_update_indexed("delete //emailaddress", tree)
         live = tree.size()
         assert live < len(tree.store)  # garbage exists pre-compaction
-        with SqliteDocumentStore(db_path) as backend:
+        with _documents(db_path) as backend:
             rows = backend.save("doc", tree, "digest-c")
             assert rows == live
             loaded, _ = backend.load("doc")
@@ -70,7 +79,7 @@ class TestRoundTrip:
     def test_overwrite_replaces_rows(self, db_path):
         small = _indexed(bib_dtd(), 2_000, 5)
         big = _indexed(bib_dtd(), 8_000, 6)
-        with SqliteDocumentStore(db_path) as backend:
+        with _documents(db_path) as backend:
             backend.save("doc", big, "d")
             backend.save("doc", small, "d")
             loaded, _ = backend.load("doc")
@@ -85,7 +94,7 @@ class TestRoundTrip:
 
 class TestCatalog:
     def test_miss_and_counters(self, db_path):
-        with SqliteDocumentStore(db_path) as backend:
+        with _documents(db_path) as backend:
             assert backend.load("missing") is None
             tree = _indexed(bib_dtd(), 2_000, 5)
             backend.save("a", tree, "d")
@@ -99,7 +108,7 @@ class TestCatalog:
 
     def test_list_and_delete(self, db_path):
         tree = _indexed(bib_dtd(), 2_000, 5)
-        with SqliteDocumentStore(db_path) as backend:
+        with _documents(db_path) as backend:
             backend.save("a", tree, "d1")
             backend.save("b", tree, "d2")
             docs = backend.list_documents()

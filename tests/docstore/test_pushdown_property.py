@@ -1,18 +1,19 @@
 """Differential property suite for SQL pushdown (ISSUE 7).
 
 Hypothesis drives fuzzer-generated schemas, documents, and
-pushdown-eligible queries through four evaluators:
+pushdown-eligible queries through three evaluators:
 
 1. the dict-store evaluator (the Section-2 reference semantics),
 2. the indexed in-memory evaluator (axis accelerators),
-3. ``MemoryDocumentStore.run_steps`` (accelerators over persisted rows),
-4. ``SqliteDocumentStore.run_steps`` (the SQL pushdown itself, answers
+3. ``SqliteDocumentStore.run_steps`` (the SQL pushdown itself, answers
    serialized straight from node-row range scans),
 
 and asserts byte-identical serialized answers *in identical document
 order* -- including the nested-loop duplicate multiplicity the
-desugared For-chains produce.  Positional predicates and dedup get
-their own differential legs.
+desugared For-chains produce.  The pushdown's locations are also
+diffed against ``run_steps_on_tree`` (the axis accelerators answering
+the same step chain), and positional predicates and dedup get their
+own differential legs against it.
 
 When a differential fails, the (Hypothesis-shrunk) counterexample is
 written to ``tests/corpus/pushdown-<digest>.json``; committing such a
@@ -35,8 +36,7 @@ from repro.docstore.pushdown import (
     serialize_answers,
 )
 from repro.docstore.streamload import load_xml
-from repro.storage.memory import MemoryDocumentStore
-from repro.storage.sqlite import SqliteDocumentStore
+from repro.storage import open_store
 from repro.xmldm.parse import parse_xml
 from repro.xmldm.serialize import serialize
 from repro.xquery.ast import ROOT_VAR
@@ -94,7 +94,7 @@ def _dump_counterexample(xml: str, query_text: str,
 
 
 def _assert_differential(xml: str, query_text: str) -> None:
-    """The four-way byte-identity check one corpus entry pins."""
+    """The differential byte-identity check one corpus entry pins."""
     query = parse_query(query_text)
     steps = compile_query(query)
     assert steps is not None, (
@@ -104,35 +104,27 @@ def _assert_differential(xml: str, query_text: str) -> None:
     indexed = load_xml(xml).tree
     assert _evaluated(indexed, query) == expected
 
-    memory = MemoryDocumentStore()
-    memory.save("d", indexed, "g")
-    memory_locs = memory.run_steps("d", steps)
-    assert serialize_answers(memory, "d", memory_locs) == expected
-
-    sqlite = SqliteDocumentStore(":memory:")
-    try:
+    with open_store("memory://") as backend:
+        sqlite = backend.documents
         sqlite.save("d", indexed, "g")
         sqlite_locs = sqlite.run_steps("d", steps)
         # Same locations (hence same document order), then same bytes.
-        assert sqlite_locs == memory_locs
+        assert sqlite_locs == run_steps_on_tree(indexed, steps)
         assert serialize_answers(sqlite, "d", sqlite_locs) == expected
 
         # Dedup leg: distinct locations in document order, everywhere.
         deduped = sqlite.run_steps("d", steps, dedup=True)
         assert deduped == sorted(set(sqlite_locs))
-        assert memory.run_steps("d", steps, dedup=True) == deduped
+        assert run_steps_on_tree(indexed, steps, dedup=True) == deduped
 
         # Positional leg: keep each context's n-th match of the final
-        # step; the backends must agree with the in-memory reference.
+        # step; the backend must agree with the in-memory reference.
         for position in (1, 2):
             positional = steps[:-1] + [
                 replace(steps[-1], position=position)
             ]
             reference = run_steps_on_tree(indexed, positional)
-            assert memory.run_steps("d", positional) == reference
             assert sqlite.run_steps("d", positional) == reference
-    finally:
-        sqlite.close()
 
 
 @settings(max_examples=40, deadline=None)

@@ -8,7 +8,7 @@ import pytest
 
 from repro.serve.batching import MicroBatcher
 from repro.serve.registry import SchemaRegistry
-from repro.storage.sqlite import SqliteVerdictKV
+from repro.storage import open_store
 
 PAIRS = [
     ("//title", "delete //price"),
@@ -153,7 +153,8 @@ class TestCoalescing:
         ]
 
         async def run():
-            store = SqliteVerdictKV(str(tmp_path / "verdicts.sqlite"))
+            backend = open_store(f"sqlite:///{tmp_path / 'v.sqlite'}")
+            store = backend.verdicts
             registry, calls = _counting_registry(store=store)
             batcher = MicroBatcher(registry, window=0.05)
             try:
@@ -164,7 +165,7 @@ class TestCoalescing:
             finally:
                 batcher.close()
             count = store.count()
-            store.close()
+            backend.close()
             return verdicts, calls, batcher, count
 
         verdicts, calls, batcher, count = asyncio.run(run())
@@ -180,7 +181,8 @@ class TestCoalescing:
 
     def test_group_commit_wraps_flush(self, tmp_path):
         async def run():
-            store = SqliteVerdictKV(str(tmp_path / "verdicts.sqlite"))
+            backend = open_store(f"sqlite:///{tmp_path / 'v.sqlite'}")
+            store = backend.verdicts
             registry, calls = _counting_registry(store=store)
             batcher = MicroBatcher(registry, window=0.05)
             try:
@@ -191,7 +193,7 @@ class TestCoalescing:
             finally:
                 batcher.close()
             count = store.count()
-            store.close()
+            backend.close()
             return count, calls
 
         count, calls = asyncio.run(run())

@@ -6,7 +6,13 @@ import pytest
 
 from repro.schema import DTD
 from repro.serve.registry import SchemaRegistry, UnknownSchemaError
-from repro.storage.sqlite import SqliteVerdictKV
+from repro.storage import open_store
+
+
+@pytest.fixture
+def store():
+    with open_store("memory://") as backend:
+        yield backend.verdicts
 
 
 def _distinct_schema(n: int) -> DTD:
@@ -45,8 +51,7 @@ class TestRegistration:
         with pytest.raises(UnknownSchemaError):
             registry.resolve("nope")
 
-    def test_store_attached_to_new_engines(self):
-        store = SqliteVerdictKV()
+    def test_store_attached_to_new_engines(self, store):
         registry = SchemaRegistry(store=store)
         registry.register(_distinct_schema(1))
         digest = registry.resolve(
@@ -98,9 +103,8 @@ class TestLRU:
         assert registry.evictions == 0
         assert registry.explicit_evictions == 0
 
-    def test_evicted_schema_warm_starts_from_store(self):
+    def test_evicted_schema_warm_starts_from_store(self, store):
         # Eviction costs RAM only: the store still has the verdicts.
-        store = SqliteVerdictKV()
         registry = SchemaRegistry(store=store, max_schemas=1)
         digest = registry.register(_distinct_schema(1))
         registry.engine(digest).analyze_pair(

@@ -2,8 +2,25 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
+import pytest
+
 from repro.analysis.engine import AnalysisEngine, PairVerdict
-from repro.storage.sqlite import SqliteVerdictKV
+from repro.storage import open_store
+
+
+@contextmanager
+def _verdicts(url: str = "memory://"):
+    """The verdict facet of a freshly opened store (closed on exit)."""
+    with open_store(url) as backend:
+        yield backend.verdicts
+
+
+@pytest.fixture
+def store():
+    with _verdicts() as verdicts:
+        yield verdicts
 
 
 def _verdict(independent: bool = True) -> PairVerdict:
@@ -13,11 +30,11 @@ def _verdict(independent: bool = True) -> PairVerdict:
 
 class TestRoundTrip:
     def test_get_returns_none_on_miss(self):
-        with SqliteVerdictKV() as store:
+        with _verdicts() as store:
             assert store.get("d", 1, "q", "u") is None
 
     def test_put_then_get(self):
-        with SqliteVerdictKV() as store:
+        with _verdicts() as store:
             store.put("d", 3, "q", "u", _verdict())
             verdict = store.get("d", 3, "q", "u")
             assert verdict.independent is True
@@ -26,7 +43,7 @@ class TestRoundTrip:
             assert verdict.analysis_seconds == 0.0
 
     def test_key_is_four_dimensional(self):
-        with SqliteVerdictKV() as store:
+        with _verdicts() as store:
             store.put("d", 3, "q", "u", _verdict(True))
             store.put("d", 4, "q", "u", _verdict(False))
             store.put("e", 3, "q", "u", _verdict(False))
@@ -36,7 +53,7 @@ class TestRoundTrip:
             assert store.get("d", 3, "q", "other") is None
 
     def test_count_and_stats(self):
-        with SqliteVerdictKV() as store:
+        with _verdicts() as store:
             store.put("d", 3, "q", "u", _verdict())
             store.put("d", 3, "q2", "u", _verdict())
             store.put("e", 3, "q", "u", _verdict())
@@ -45,8 +62,8 @@ class TestRoundTrip:
             assert store.stats()["verdicts"] == 3
 
     def test_deferred_commits_once_and_nests(self, tmp_path):
-        path = str(tmp_path / "verdicts.sqlite")
-        with SqliteVerdictKV(path) as store:
+        path = f"sqlite:///{tmp_path / 'verdicts.sqlite'}"
+        with _verdicts(path) as store:
             with store.deferred():
                 with store.deferred():
                     store.put("d", 3, "q", "u", _verdict())
@@ -56,18 +73,20 @@ class TestRoundTrip:
 
 class TestPersistence:
     def test_rows_survive_reopen(self, tmp_path):
-        path = str(tmp_path / "verdicts.sqlite")
-        with SqliteVerdictKV(path) as store:
+        path = f"sqlite:///{tmp_path / 'verdicts.sqlite'}"
+        with _verdicts(path) as store:
             store.put("d", 3, "q", "u", _verdict(False))
-        with SqliteVerdictKV(path) as reopened:
+        with _verdicts(path) as reopened:
             verdict = reopened.get("d", 3, "q", "u")
             assert verdict is not None
             assert not verdict.independent
 
     def test_close_is_idempotent(self, tmp_path):
-        store = SqliteVerdictKV(str(tmp_path / "verdicts.sqlite"))
-        store.close()
-        store.close()
+        backend = open_store(f"sqlite:///{tmp_path / 'verdicts.sqlite'}")
+        backend.verdicts.close()
+        backend.close()
+        backend.close()
+        backend.verdicts.close()
 
 
 class TestEngineWarmStart:
@@ -83,8 +102,8 @@ class TestEngineWarmStart:
 
     def test_cold_engine_serves_from_store_without_universes(
             self, bib, tmp_path):
-        path = str(tmp_path / "verdicts.sqlite")
-        with SqliteVerdictKV(path) as store:
+        path = f"sqlite:///{tmp_path / 'verdicts.sqlite'}"
+        with _verdicts(path) as store:
             warm = AnalysisEngine(bib)
             warm.attach_store(store)
             expected = [
@@ -95,7 +114,7 @@ class TestEngineWarmStart:
             assert warm.stats.universes_built >= 1
 
         # "Restart": a brand-new engine, a reopened store file.
-        with SqliteVerdictKV(path) as store:
+        with _verdicts(path) as store:
             cold = AnalysisEngine(bib)
             cold.attach_store(store)
             served = [
@@ -109,8 +128,8 @@ class TestEngineWarmStart:
             assert cold.stats.update_misses == 0
 
     def test_store_hit_respects_explicit_k(self, bib, tmp_path):
-        path = str(tmp_path / "verdicts.sqlite")
-        with SqliteVerdictKV(path) as store:
+        path = f"sqlite:///{tmp_path / 'verdicts.sqlite'}"
+        with _verdicts(path) as store:
             warm = AnalysisEngine(bib)
             warm.attach_store(store)
             derived = warm.analyze_pair("//title", "delete //price",
@@ -128,12 +147,11 @@ class TestEngineWarmStart:
             assert cold.stats.store_misses == 1
 
     def test_store_served_dependent_reports_keep_a_conflict_marker(
-            self, bib):
+            self, bib, store):
         # A computed witness-free dependent report carries exactly one
         # witness-less Conflict; a store-served one must agree in
         # truthiness so `if report.conflicts:` consumers behave the
         # same on a warm restart.
-        store = SqliteVerdictKV()
         warm = AnalysisEngine(bib)
         warm.attach_store(store)
         computed = warm.analyze_pair("//title", "delete //title",
@@ -153,8 +171,7 @@ class TestEngineWarmStart:
                                   collect_witnesses=False)
         assert clean.independent and not clean.conflicts
 
-    def test_witness_requests_bypass_the_store(self, bib):
-        store = SqliteVerdictKV()
+    def test_witness_requests_bypass_the_store(self, bib, store):
         engine = AnalysisEngine(bib)
         engine.attach_store(store)
         engine.analyze_pair("//title", "delete //title")
@@ -162,8 +179,7 @@ class TestEngineWarmStart:
         assert engine.stats.store_misses == 0
         assert store.count() == 0
 
-    def test_store_backed_verdicts_match_fresh_engine(self, bib):
-        store = SqliteVerdictKV()
+    def test_store_backed_verdicts_match_fresh_engine(self, bib, store):
         first = AnalysisEngine(bib)
         first.attach_store(store)
         second = AnalysisEngine(bib)  # no store: ground truth

@@ -55,14 +55,16 @@ def test_url_reported_paths_echo_the_url(tmp_path):
     """The unified service reports its configured URL targets."""
     url = f"sqlite:///{tmp_path / 'unified.db'}"
     stats = asyncio.run(_drive(store_path=url))
-    assert str(tmp_path / "unified.db") in stats["store"]["path"]
+    assert stats["store"]["path"] == url
+    assert stats["docstore"]["path"] == url
     assert stats["docstore"]["enabled"] is True
 
 
-async def _default_stats() -> dict:
-    """``/stats`` of a service on the default config, after one
-    analysis."""
-    async with running_service(preload=("bib",)) as (_, host, port):
+async def _default_stats(**config_kwargs) -> dict:
+    """``/stats`` of a service on the default config (or
+    ``config_kwargs``), after one analysis."""
+    async with running_service(preload=("bib",),
+                               **config_kwargs) as (_, host, port):
         async with ServiceClient(host, port) as client:
             response = await client.call(
                 "analyze", schema="bib", query=PAIRS[0][0],
@@ -83,9 +85,22 @@ def test_memory_url_matches_default_ephemeral():
     assert stats["store"]["verdicts"] == 1
 
 
+@pytest.mark.parametrize("url", ["memory://", "sqlite:///{tmp}/echo.db"])
+def test_unsharded_stats_echo_the_store_url(tmp_path, url):
+    """An unsharded service reports the configured store URL in
+    ``/stats`` -- never a bare file path or ``:memory:`` -- exactly as
+    the sharded router does."""
+    url = url.format(tmp=tmp_path)
+    stats = asyncio.run(_default_stats(store_path=url))
+    assert stats["store"]["path"] == url
+    if url != "memory://":
+        assert stats["docstore"]["path"] == url
+
+
 @pytest.mark.parametrize("value, hint", [
     ("", "'memory://'"),
     (":memory:", "'memory://'"),
+    ("sqlite:///:memory:", "'memory://'"),
     ("verdicts.db", "'sqlite:///verdicts.db'"),
     ("/var/x.db", "'sqlite:////var/x.db'"),
 ])
@@ -99,6 +114,7 @@ def test_non_url_rejected_with_the_url_to_use(value, hint):
 @pytest.mark.parametrize("config", [
     {"store_path": "verdicts.db"},
     {"store_path": ":memory:"},
+    {"store_path": "sqlite:///:memory:"},
     {"shards": 2, "store_path": "x.db"},
 ])
 def test_serveconfig_rejects_non_url(config):

@@ -1,8 +1,9 @@
 """Backend-agnostic storage conformance suite.
 
-Every test in this module runs identically against the memory and
-sqlite backends (tier-1), and against PostgreSQL when ``REPRO_PG_DSN``
-is set (the CI service-container leg).  The suite pins the storage
+Every test in this module runs identically against ``memory://`` (a
+private in-memory SQLite database) and a ``sqlite:///`` file (tier-1),
+and against PostgreSQL when ``REPRO_PG_DSN`` is set (the CI
+service-container leg).  The suite pins the storage
 interface of :mod:`repro.storage.base`: verdict round-trips and
 engine warm-starts, node-table save/load/compact, in-database axis
 traversals, catalog operations, cross-instance visibility, and
@@ -82,9 +83,7 @@ def make_backend(request, tmp_path):
     kind = request.param
     opened = []
     if kind == "memory":
-        from repro.storage.memory import MemoryBackend
-
-        shared = MemoryBackend()
+        shared = open_store("memory://")
         opened.append(shared)
 
         def factory():
@@ -337,8 +336,7 @@ class TestTraversalConformance:
 
 
 class TestRunStepsConformance:
-    """The ``run_steps`` backend op (SQL pushdown in the SQL backends,
-    axis accelerators in the memory backend) must agree across
+    """The ``run_steps`` backend op (SQL pushdown) must agree across
     backends and with the in-memory reference on nested-loop order,
     duplicate multiplicity, positional predicates, dedup, and empty
     results."""
@@ -446,8 +444,7 @@ class TestRunStepsConformance:
 
 class TestSqlitePragmas:
     """The one connection factory gives every file-backed sqlite
-    connection (unified backend, verdict-only and documents-only
-    stores alike) the same pragmas."""
+    store the same pragmas, and both facets run on that connection."""
 
     def _pragmas(self, connection):
         from repro.storage.sqlite import PRAGMAS
@@ -470,29 +467,33 @@ class TestSqlitePragmas:
         }
 
     def test_every_file_connection_gets_them(self, tmp_path):
-        from repro.storage.sqlite import (
-            PRAGMAS,
-            SqliteBackend,
-            SqliteDocumentStore,
-            SqliteVerdictKV,
-        )
+        from repro.storage.sqlite import PRAGMAS
 
-        expected = dict(PRAGMAS)
-        with SqliteBackend(str(tmp_path / "a.db")) as backend:
-            assert self._pragmas(backend._connection) == expected
-        with SqliteVerdictKV(str(tmp_path / "b.db")) as store:
-            assert self._pragmas(store._connection) == expected
-        with SqliteDocumentStore(str(tmp_path / "c.db")) as docs:
-            assert self._pragmas(docs._conn) == expected
+        with open_store(f"sqlite:///{tmp_path / 'a.db'}") as backend:
+            assert self._pragmas(backend._connection) == dict(PRAGMAS)
+            # The facets open nothing of their own.
+            assert backend.verdicts._connection is backend._connection
+            assert backend.documents._conn is backend._connection
 
     def test_memory_connections_skip_file_pragmas(self):
-        from repro.storage.sqlite import SqliteVerdictKV
-
-        with SqliteVerdictKV() as store:
-            mode = store._connection.execute(
+        with open_store("memory://") as backend:
+            mode = backend._connection.execute(
                 "PRAGMA journal_mode"
             ).fetchone()[0]
             assert mode == "memory"
+
+    def test_memory_url_is_private_and_unshared(self):
+        """``memory://`` is the SQLite backend over a private
+        ``:memory:`` database: unshared, and two opens see nothing of
+        each other."""
+        with open_store("memory://") as one, \
+                open_store("memory://") as two:
+            assert (one.kind, one.shared, one.url) == \
+                ("memory", False, "memory://")
+            one.verdicts.put("d", 3, "q", "u", _verdict())
+            assert one.verdicts.count() == 1
+            assert two.verdicts.get("d", 3, "q", "u") is None
+            assert two.verdicts.count() == 0
 
 
 class TestSqliteCrossProcess:

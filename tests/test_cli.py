@@ -278,7 +278,7 @@ class TestLoadCommand:
 
     def test_load_persists_into_docstore(self, xmark_file, tmp_path,
                                          capsys):
-        from repro.storage.sqlite import SqliteDocumentStore
+        from repro.storage import open_store
 
         db = str(tmp_path / "docs.sqlite")
         code = main([
@@ -288,7 +288,8 @@ class TestLoadCommand:
         ])
         assert code == 0
         assert "persisted" in capsys.readouterr().out
-        with SqliteDocumentStore(db) as documents:
+        with open_store(f"sqlite:///{db}") as backend:
+            documents = backend.documents
             stored = documents.describe("cli-doc")
             assert stored is not None
             # Same meta shape as the server's persistence, so a served
