@@ -54,7 +54,8 @@ SHARD_WORKLOAD = dict(schema=("xmark", "gen:11"), n_queries=12,
 #: ``schema_version``/``cores`` at the top level and per-mode
 #: ``server_latency_ms`` (server-side per-op p50/p99 from the scraped
 #: request histograms, so a point records both sides of the wire).
-SCHEMA_VERSION = 2
+#: 3 dropped ``batch_window_seconds``: batching has no timer.
+SCHEMA_VERSION = 3
 
 
 def _server_latency(report: dict) -> dict:
@@ -105,13 +106,12 @@ async def _run_config(config: ServeConfig, loadgen: LoadgenConfig) -> dict:
 
 
 async def _run_mode(mode: str, store_path: str,
-                    workload: dict, batch_window: float) -> dict:
+                    workload: dict) -> dict:
     """One mode-comparison leg (always unsharded)."""
     config = ServeConfig(
         port=0,
         store_path=store_path,
         analysis_mode=mode,
-        batch_window=batch_window,
         preload=("xmark",),
     )
     assert isinstance(make_service(config), IndependenceService)
@@ -121,7 +121,6 @@ async def _run_mode(mode: str, store_path: str,
 
 
 async def run_serve_bench_async(workload: dict | None = None,
-                                batch_window: float = 0.002,
                                 store: str | None = None) -> dict:
     """The three-mode comparison (the PR 3 acceptance numbers).
 
@@ -137,17 +136,17 @@ async def run_serve_bench_async(workload: dict | None = None,
         if mode == "oneshot":
             # Stateless mode never touches the store.
             reports[mode] = await _run_mode(
-                mode, "memory://", workload, batch_window
+                mode, "memory://", workload
             )
             continue
         if store is not None:
             reports[mode] = await _run_mode(
-                mode, store, workload, batch_window
+                mode, store, workload
             )
             continue
         with _store_file(mode) as store_path:
             reports[mode] = await _run_mode(
-                mode, store_path, workload, batch_window
+                mode, store_path, workload
             )
 
     verdict_blobs = {
@@ -161,7 +160,6 @@ async def run_serve_bench_async(workload: dict | None = None,
     return {
         "schema_version": SCHEMA_VERSION,
         "workload": reports["batched"]["workload"],
-        "batch_window_seconds": batch_window,
         "cores": available_cores(),
         "modes": {
             mode: {
@@ -185,7 +183,6 @@ async def run_serve_bench_async(workload: dict | None = None,
 
 async def run_shard_bench_async(shards: int = 2,
                                 workload: dict | None = None,
-                                batch_window: float = 0.002,
                                 store: str | None = None) -> dict:
     """Single-shard vs ``shards``-shard throughput, same workload.
 
@@ -205,7 +202,6 @@ async def run_shard_bench_async(shards: int = 2,
         config = ServeConfig(
             port=0,
             store_path=store_path,
-            batch_window=batch_window,
             preload=("xmark",),
             shards=count,
         )
@@ -230,7 +226,6 @@ async def run_shard_bench_async(shards: int = 2,
     sharded = reports[shards]["throughput_rps"]
     return {
         "workload": reports[shards]["workload"],
-        "batch_window_seconds": batch_window,
         "cores": available_cores(),
         "shards": shards,
         "shard_counts": {
@@ -274,7 +269,6 @@ def append_trajectory_point(path: str, point: dict) -> None:
 
 
 def run_serve_bench(workload: dict | None = None,
-                    batch_window: float = 0.002,
                     shards: int = 2,
                     store: str | None = None,
                     out=sys.stdout) -> dict:
@@ -286,7 +280,7 @@ def run_serve_bench(workload: dict | None = None,
     throwaway SQLite files.
     """
     results = asyncio.run(
-        run_serve_bench_async(workload, batch_window, store=store)
+        run_serve_bench_async(workload, store=store)
     )
     shape = results["workload"]
     print(f"serve benchmark -- {shape['n_queries']}x{shape['n_updates']} "

@@ -21,7 +21,7 @@ Subcommands::
         [--processes N]
     python -m repro fuzz [--count N] [--seed S] [--max-tags N] \\
         [--json report.json] [--corpus-dir DIR]
-    python -m repro serve [--port P] [--store URL] [--window MS] \\
+    python -m repro serve [--port P] [--store URL] [--max-batch N] \\
         [--shards N] [--mode batched|engine|oneshot] \\
         [--max-documents N] [--preload xmark ...]
     python -m repro loadgen [--port P] [--clients N] [--requests N] \\
@@ -493,7 +493,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port,
         store_path=args.store,
-        batch_window=args.window / 1e3,
         max_batch=args.max_batch,
         analysis_mode=args.mode,
         max_schemas=args.max_schemas,
@@ -511,8 +510,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                    if service.metrics_port else "")
         print(f"repro serve: listening on {host}:{port} "
               f"(mode={config.analysis_mode}, shards={config.shards}, "
-              f"store={config.store_path}, window={args.window}ms"
-              f"{metrics})",
+              f"store={config.store_path}{metrics})",
               flush=True)
 
     try:
@@ -579,7 +577,7 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
     if args.expect_coalescing and (
             not service["batches"] or not service["coalesced_requests"]):
         # batches alone is not enough: 600 one-entry batches would mean
-        # the admission window coalesced nothing.
+        # the admission queue coalesced nothing.
         print("error: --expect-coalescing, but no requests coalesced "
               f"({service['batches']} batches, "
               f"{service['coalesced_requests']} coalesced)")
@@ -604,7 +602,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
 
     results = run_serve_bench(
         workload={"requests": args.requests, "clients": args.clients},
-        batch_window=args.window / 1e3,
         shards=args.shards,
         store=args.store,
     )
@@ -813,7 +810,6 @@ def build_parser() -> argparse.ArgumentParser:
         "serve",
         help="run the concurrent independence service (JSON lines/TCP)",
         epilog="defaults: "
-               f"window {serve_defaults.batch_window * 1e3:g} ms, "
                f"max-batch {serve_defaults.max_batch}, "
                f"max-schemas {serve_defaults.max_schemas}, "
                f"max-documents {serve_defaults.max_documents}, "
@@ -838,13 +834,10 @@ def build_parser() -> argparse.ArgumentParser:
                                 "document store; with --shards, the "
                                 "backend is shared by all shards; "
                                 "see docs/STORAGE.md)")
-    serve_cmd.add_argument("--window", type=float,
-                           default=serve_defaults.batch_window * 1e3,
-                           help="micro-batch admission window, ms")
     serve_cmd.add_argument("--max-batch", type=int,
                            default=serve_defaults.max_batch,
-                           help="flush a window early at this many "
-                                "requests")
+                           help="close a micro-batch to later "
+                                "arrivals at this many requests")
     serve_cmd.add_argument("--mode", default=serve_defaults.analysis_mode,
                            choices=list(ANALYSIS_MODES),
                            help="analyze path: micro-batched (default), "
@@ -925,7 +918,7 @@ def build_parser() -> argparse.ArgumentParser:
                              default=loadgen_defaults.seed)
     loadgen_cmd.add_argument("--json", help="write the full report here")
     loadgen_cmd.add_argument("--expect-coalescing", action="store_true",
-                             help="fail unless the admission window "
+                             help="fail unless the admission queue "
                                   "actually coalesced requests: both "
                                   "batches > 0 and coalesced_requests "
                                   "> 0 after the run (CI smoke)")
@@ -957,8 +950,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_bench_cmd.add_argument("--requests", type=int, default=1200,
                                  help="requests per mode")
     serve_bench_cmd.add_argument("--clients", type=int, default=32)
-    serve_bench_cmd.add_argument("--window", type=float, default=2.0,
-                                 help="admission window, ms")
     serve_bench_cmd.add_argument("--shards", type=int, default=2,
                                  help="shard count for the sharding "
                                       "comparison (<= 1 skips it)")

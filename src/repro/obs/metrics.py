@@ -365,7 +365,7 @@ SLOW_REQUESTS = REGISTRY.counter(
 )
 BATCH_QUEUE_WAIT = REGISTRY.histogram(
     "repro_batch_queue_wait_seconds",
-    "Time a request waits in the admission batcher before its flush starts.",
+    "Time a request waits for the analysis worker to take its group.",
 )
 BATCH_FLUSH_SECONDS = REGISTRY.histogram(
     "repro_batch_flush_seconds",

@@ -13,8 +13,8 @@ the doc tests):
   shard, forward over the ``ShardLink``, await the response).
 - ``shard`` — total time inside the shard worker, as reported by the
   worker's own trace (synthesized by the router when merging).
-- ``queue_wait`` — time spent in the admission batcher between submit
-  and the start of the flush that served the request.
+- ``queue_wait`` — time between submit and the analysis worker taking
+  the request's group in the admission batcher.
 - ``engine`` — analysis/evaluation work on the analysis thread (for a
   coalesced batch this is the shared flush's engine time).
 - ``store`` — verdict/document-store work: group commit for ``analyze``,

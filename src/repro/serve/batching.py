@@ -1,21 +1,28 @@
 """Micro-batching admission queue for ``analyze`` requests.
 
-Concurrent ``analyze`` requests for the same ``(schema_digest, k)``
-that arrive within a small window (default 2 ms) are coalesced into one
-:meth:`~repro.analysis.engine.AnalysisEngine.analyze_matrix` call over
-the batch's distinct queries x distinct updates, executed on a single
-analysis worker thread with the verdict store in group-commit mode.
-Service throughput then scales with the engine's *amortized* batch
-speed -- one executor hand-off, one store commit, and shared chain
-inference per flush -- instead of paying per-request latency (executor
-round-trip + per-verdict commit) on every call, which is precisely the
-serving-layer shape the paper's "analyze every update against every
-view" pitch assumes.
+Concurrent ``analyze`` requests for the same ``(schema_digest, k)`` are
+coalesced into one deduplicated batch call --
+:meth:`~repro.analysis.engine.AnalysisEngine.analyze_matrix` over the
+batch's distinct queries x distinct updates, or
+:meth:`~repro.analysis.engine.AnalysisEngine.analyze_many` over exactly
+the requested pairs when the grid would be mostly speculative --
+executed on a single analysis worker thread with the verdict store in
+group-commit mode.  Service throughput then scales with the engine's
+*amortized* batch speed -- one executor hand-off, one store commit, and
+shared chain inference per flush -- instead of paying per-request
+latency (executor round-trip + per-verdict commit) on every call, which
+is precisely the serving-layer shape the paper's "analyze every update
+against every view" pitch assumes.
 
-The first request of a group opens the window; followers join until the
-window closes or the batch hits ``max_batch``, whichever is first.  A
-flush failure (e.g. one unparsable expression) degrades that batch to
-per-request analysis so only the offending request sees the error.
+Batching is *work-conserving*: there is no admission timer.  The first
+request of a group schedules its flush, which runs on the next loop
+turn if the analysis worker is idle -- after every request already
+scheduled in the same tick has joined, so pipelined arrivals still
+coalesce.  Requests that arrive while a flush runs join the next group,
+which flushes the moment the running one finishes.  A group closes to
+later arrivals when it reaches ``max_batch``.  A flush failure (e.g.
+one unparsable expression) degrades that batch to per-request analysis
+so only the offending request sees the error.
 """
 
 from __future__ import annotations
@@ -64,7 +71,7 @@ class WireVerdict:
 
 @dataclass
 class _Group:
-    """One open admission window for a ``(digest, k)`` key.
+    """One open group of requests for a ``(digest, k)`` key.
 
     Each entry is ``(query, update, future, trace, plan, enqueued)``:
     the request's trace context (or None), its plan context (or None),
@@ -78,16 +85,14 @@ class _Group:
         tuple[str, str, asyncio.Future, TraceContext | None,
               PlanContext | None, float]
     ] = field(default_factory=list)
-    full: asyncio.Event = field(default_factory=asyncio.Event)
 
 
 class MicroBatcher:
-    """Coalesces concurrent analyze requests into matrix flushes."""
+    """Coalesces concurrent analyze requests into batch flushes."""
 
-    def __init__(self, registry, window: float = 0.002,
-                 max_batch: int = 512, enabled: bool = True):
+    def __init__(self, registry, max_batch: int = 512,
+                 enabled: bool = True):
         self.registry = registry
-        self.window = window
         self.max_batch = max_batch
         self.enabled = enabled
         # One worker serializes all engine access: engine caches are not
@@ -97,6 +102,9 @@ class MicroBatcher:
         )
         self._groups: dict[tuple, _Group] = {}
         self._flushes: set[asyncio.Task] = set()
+        # Held for a whole flush: a group waiting on it stays open, so
+        # requests arriving meanwhile join the next flush.
+        self._worker = asyncio.Lock()
         self.requests = 0
         self.batches = 0
         self.coalesced_requests = 0
@@ -135,7 +143,7 @@ class MicroBatcher:
         if group is None:
             group = _Group(engine=engine, k=k)
             self._groups[key] = group
-            task = loop.create_task(self._window_flush(key, group))
+            task = loop.create_task(self._flush(key, group))
             self._flushes.add(task)
             task.add_done_callback(self._flushes.discard)
         else:
@@ -145,20 +153,14 @@ class MicroBatcher:
             (query, update, future, trace, plan, time.perf_counter())
         )
         if len(group.entries) >= self.max_batch:
-            # Close the window immediately: removing the group here (not
-            # just waking the flush task) is what actually enforces
-            # max_batch under a same-cycle burst -- later submits must
-            # open a fresh group instead of piling onto this one.
-            if self._groups.get(key) is group:
-                del self._groups[key]
-            group.full.set()
+            # A full group closes to later arrivals, which open a fresh
+            # group (and flush) instead of piling onto this one.
+            self._close(key, group)
         return await future
 
     async def drain(self) -> None:
-        """Flush every open window (tests, shutdown)."""
+        """Run every scheduled flush to completion (tests, shutdown)."""
         while self._flushes:
-            for group in list(self._groups.values()):
-                group.full.set()
             tasks = list(self._flushes)
             await asyncio.gather(*tasks, return_exceptions=True)
             self._flushes.difference_update(tasks)
@@ -171,7 +173,6 @@ class MicroBatcher:
         """Admission-queue counters (the ``/stats`` batcher section)."""
         return {
             "enabled": self.enabled,
-            "window_seconds": self.window,
             "max_batch": self.max_batch,
             "requests": self.requests,
             "batches": self.batches,
@@ -184,14 +185,18 @@ class MicroBatcher:
 
     # -- flush machinery -----------------------------------------------------
 
-    async def _window_flush(self, key: tuple, group: _Group) -> None:
-        try:
-            await asyncio.wait_for(group.full.wait(), timeout=self.window)
-        except TimeoutError:
-            pass
-        # Close the window: later arrivals open a fresh group.
+    def _close(self, key: tuple, group: _Group) -> None:
         if self._groups.get(key) is group:
             del self._groups[key]
+
+    async def _flush(self, key: tuple, group: _Group) -> None:
+        async with self._worker:
+            # The worker is ours: close the group, later arrivals open
+            # the next one.
+            self._close(key, group)
+            await self._run_group(group)
+
+    async def _run_group(self, group: _Group) -> None:
         loop = asyncio.get_running_loop()
         entries = group.entries
         self.batches += 1
@@ -277,15 +282,34 @@ class MicroBatcher:
                     future.set_result(verdict)
 
     #: A flush uses the full queries x updates matrix only while the
-    #: grid is at most this many times the deduplicated request count.
-    #: Dense batches (the view-set x update-stream shape the paper
-    #: targets) profit from the speculative grid -- the extra verdicts
-    #: land in the memo and the store for later requests -- but a batch
-    #: of mostly-distinct expressions would otherwise pay O(n^2)
-    #: analyses for n answers, so sparse batches run ``analyze_many``
-    #: over exactly the requested pairs (same chain amortization, same
-    #: group commit).
+    #: grid is at most this many times the deduplicated request count
+    #: (see :meth:`use_grid`).  Dense batches (the view-set x
+    #: update-stream shape the paper targets) profit from the
+    #: speculative grid -- the extra verdicts land in the memo and the
+    #: store for later requests -- but a batch of mostly-distinct
+    #: expressions would otherwise pay O(n^2) analyses for n answers, so
+    #: sparse batches run ``analyze_many`` over exactly the requested
+    #: pairs (same chain amortization, same group commit).
     MATRIX_DENSITY_LIMIT = 4
+
+    @classmethod
+    def use_grid(cls, queries: int, updates: int, pairs: int) -> bool:
+        """Whether a flush of ``pairs`` distinct requests over
+        ``queries`` x ``updates`` distinct expressions runs the grid.
+
+        A grid with no speculative cell (1 x n, n x 1, or every cell
+        requested) always runs.  Otherwise the batch must reuse its
+        expressions -- more distinct pairs than distinct queries or
+        updates -- before its speculative cells are worth paying for: a
+        diagonal of distinct queries x distinct updates, the common
+        small batch under closed-loop load, would cost n^2 analyses
+        (and stored verdicts) for n answers however small n is.
+        """
+        grid = queries * updates
+        if grid == pairs:
+            return True
+        return (pairs > max(queries, updates)
+                and grid <= cls.MATRIX_DENSITY_LIMIT * pairs)
 
     def _analyze_batch(
         self, engine: AnalysisEngine, entries, k: int | None
@@ -307,8 +331,7 @@ class MicroBatcher:
         pairs = list(dict.fromkeys(
             (entry[0], entry[1]) for entry in entries
         ))
-        dense = (len(queries) * len(updates)
-                 <= self.MATRIX_DENSITY_LIMIT * len(pairs))
+        dense = self.use_grid(len(queries), len(updates), len(pairs))
         shape = {
             "mode": "matrix" if dense else "sparse",
             "queries": len(queries),

@@ -40,8 +40,9 @@ the unsharded service.
 ``analysis_mode`` selects how ``analyze`` requests are served:
 
 * ``"batched"`` (default) -- through the micro-batching admission
-  queue: coalesced ``analyze_matrix`` flushes, group-committed store
-  writes;
+  queue: requests that arrive while the analysis worker is busy
+  coalesce into one deduplicated flush, taken the moment the worker is
+  free (no timer), with group-committed store writes;
 * ``"engine"`` -- batching disabled, but each request still served by
   the shared per-schema engine (per-request executor hand-off and
   per-verdict commit);
@@ -154,7 +155,6 @@ class ServeConfig:
     host: str = "127.0.0.1"
     port: int = 8765
     store_path: str = "memory://"
-    batch_window: float = 0.002
     max_batch: int = 512
     analysis_mode: str = "batched"
     max_schemas: int = 256
@@ -513,7 +513,6 @@ class IndependenceService(JsonLinesFront):
         )
         self.batcher = MicroBatcher(
             self.registry,
-            window=self.config.batch_window,
             max_batch=self.config.max_batch,
             enabled=self.config.analysis_mode == "batched",
         )
@@ -1594,7 +1593,6 @@ class ShardedService(JsonLinesFront):
             per_shard.append(shard_payload)
         batcher = {
             "enabled": self.config.analysis_mode == "batched",
-            "window_seconds": self.config.batch_window,
             "max_batch": self.config.max_batch,
             "max_batch_size": max(
                 (p["batcher"]["max_batch_size"] for p in per_shard),

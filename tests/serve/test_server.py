@@ -43,7 +43,7 @@ def test_analyze_matches_engine_ground_truth(bib):
 
 def test_concurrent_clients_coalesce_into_batches(bib):
     async def run():
-        async with running_service(batch_window=0.05) as (_, host, port):
+        async with running_service() as (_, host, port):
             async def one(query, update):
                 async with ServiceClient(host, port) as client:
                     return await client.call("analyze", schema="bib",
@@ -66,7 +66,7 @@ def test_concurrent_clients_coalesce_into_batches(bib):
 
 def test_pipelined_requests_on_one_connection_coalesce():
     async def run():
-        async with running_service(batch_window=0.05) as (_, host, port):
+        async with running_service() as (_, host, port):
             reader, writer = await asyncio.open_connection(host, port)
             for index, (query, update) in enumerate(BIB_PAIRS):
                 writer.write(encode({

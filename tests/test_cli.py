@@ -176,13 +176,21 @@ class TestParserMatchesConfigs:
         assert args.host == config.host
         assert args.port == config.port
         assert args.store == config.store_path
-        assert args.window / 1e3 == config.batch_window
         assert args.max_batch == config.max_batch
         assert args.mode == config.analysis_mode
         assert args.max_schemas == config.max_schemas
         assert args.max_documents == config.max_documents
         assert args.pair_cache == config.pair_cache_size
         assert args.shards == config.shards
+
+    def test_batching_has_no_window_flag(self):
+        # Batching is work-conserving: there is no admission timer to
+        # configure on serve or serve-bench.
+        from repro.cli import build_parser
+
+        for command in ("serve", "serve-bench"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args([command, "--window", "2"])
 
     def test_loadgen_defaults_match_loadgenconfig(self):
         from repro.cli import build_parser
