@@ -1,52 +1,29 @@
-"""Serving-layer acceptance gates: micro-batching and sharding.
+"""Serving-layer acceptance gate: micro-batching.
 
-**Micro-batching gate (PR 3):** on the 20-view x 20-update XMark
-workload driven closed-loop over loopback TCP, the micro-batched
-service must reach >= 3x the throughput of the batching-disabled
+On the 20-view x 20-update XMark workload driven closed-loop over
+loopback TCP, the micro-batched service must reach >= 3x the throughput of the batching-disabled
 configuration (stateless one-shot request handling -- the service you
 would run without the engine/serving layers), with byte-identical
 verdicts across every mode.  On this workload the typical observed
 margin is 6-10x; the engine-no-batching mode is also measured and must
 at least not be slower than one-shot, so the report keeps the queue's
 own contribution separate from the engine's.
-
-**Shard gate (PR 4):** on the two-schema workload (XMark plus a
-deterministic generated schema, hashing to different shards), the
-2-shard service must reach >= 1.6x single-shard throughput --
-byte-identical verdicts across shard counts on *any* machine; the
-throughput ratio itself is only asserted on >= 2 cores, because on one
-core two shard processes merely time-slice.
 """
 
 import asyncio
 import json
 
-import pytest
-
-from repro.bench.serve_bench import (
-    available_cores,
-    run_serve_bench_async,
-    run_shard_bench_async,
-)
+from repro.bench.serve_bench import run_serve_bench_async
 
 #: The micro-batching acceptance threshold from the PR 3 issue.
 REQUIRED_SPEEDUP = 3.0
-
-#: The shard acceptance threshold from the PR 4 issue: 2 shards must
-#: buy >= 1.6x on >= 2 cores.
-REQUIRED_SHARD_SPEEDUP = 1.6
 
 #: Trimmed workload: same 20x20 XMark pool as the committed
 #: BENCH_serve.json point, fewer requests to keep the gate quick.
 WORKLOAD = dict(n_queries=20, n_updates=20, clients=32,
                 requests=800, seed=7)
 
-#: Trimmed two-schema shard workload (same shape as the committed
-#: point's sharding section).
-SHARD_WORKLOAD = dict(requests=600)
-
 _RESULTS: dict | None = None
-_SHARD_RESULTS: dict | None = None
 
 
 def results() -> dict:
@@ -56,16 +33,6 @@ def results() -> dict:
     if _RESULTS is None:
         _RESULTS = asyncio.run(run_serve_bench_async(WORKLOAD))
     return _RESULTS
-
-
-def shard_results() -> dict:
-    """The shared 1-shard vs 2-shard run (lazy, like :func:`results`)."""
-    global _SHARD_RESULTS
-    if _SHARD_RESULTS is None:
-        _SHARD_RESULTS = asyncio.run(
-            run_shard_bench_async(shards=2, workload=SHARD_WORKLOAD)
-        )
-    return _SHARD_RESULTS
 
 
 def test_all_modes_complete_without_errors():
@@ -109,43 +76,3 @@ def test_engine_mode_not_slower_than_oneshot():
         "shared-engine mode should already beat stateless one-shot"
     )
 
-
-# -- shard gate ---------------------------------------------------------------
-
-
-def test_shard_runs_complete_without_errors():
-    for count, row in shard_results()["shard_counts"].items():
-        assert row["errors"] == 0, f"{count} shard(s): errors"
-
-
-def test_shard_verdicts_byte_identical_across_shard_counts():
-    """Topology may change speed, never answers -- on any core count."""
-    assert shard_results()["verdicts_identical"], (
-        "1-shard and 2-shard services returned different verdicts"
-    )
-
-
-def test_two_schema_traffic_spreads_across_shards():
-    routing = shard_results()["shard_counts"]["2"]["shard_routing"]
-    busy = sum(1 for routed in routing.values() if routed > 0)
-    assert busy == 2, (
-        f"two-schema workload reached only {busy} shard(s): {routing}"
-    )
-
-
-@pytest.mark.skipif(
-    available_cores() < 2,
-    reason="shard throughput gate needs >= 2 cores "
-           f"(this runner has {available_cores()})",
-)
-def test_two_shards_one_point_six_x_over_single_shard():
-    sharding = shard_results()
-    print("\n" + json.dumps(
-        {count: round(row["throughput_rps"], 1)
-         for count, row in sharding["shard_counts"].items()}
-    ) + f"  shard speedup {sharding['shard_speedup']:.2f}x "
-        f"on {sharding['cores']} cores")
-    assert sharding["shard_speedup"] >= REQUIRED_SHARD_SPEEDUP, (
-        f"2-shard service reached only {sharding['shard_speedup']:.2f}x "
-        f"single-shard throughput (gate: {REQUIRED_SHARD_SPEEDUP}x)"
-    )

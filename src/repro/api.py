@@ -6,7 +6,7 @@ its home module (where it is documented):
 * **analysis** -- :func:`analyze` (one-shot static independence),
   :class:`AnalysisEngine` / :func:`engine_for` (the cached per-schema
   engine behind the server), :func:`schema_digest` (the content hash
-  that keys engines, verdicts, and shard routing);
+  that keys engines and verdicts);
 * **schemas & documents** -- :class:`DTD`, :func:`load_xml` /
   :func:`load_document` (streaming projected parse into an
   interval-encoded tree);
@@ -14,10 +14,9 @@ its home module (where it is documented):
   (``memory://``, ``sqlite:///...``, ``postgresql://...``) and the
   :class:`StorageBackend` interface with its :class:`VerdictKV` and
   :class:`DocumentStore` facets (see ``docs/STORAGE.md``);
-* **serving** -- :class:`ServeConfig`, :func:`make_service` /
-  :func:`run_service`, the :class:`IndependenceService` /
-  :class:`ShardedService` classes they build, and
-  :class:`LoadgenConfig` for driving one.
+* **serving** -- :class:`ServeConfig`, :func:`run_service`, the
+  :class:`IndependenceService` it runs, and :class:`LoadgenConfig` for
+  driving one.
 
 Typical embedding::
 
@@ -51,13 +50,7 @@ from .docstore.streamload import load_path as load_document
 from .docstore.streamload import load_xml
 from .schema import DTD
 from .serve.loadgen import LoadgenConfig, run_loadgen
-from .serve.server import (
-    IndependenceService,
-    ServeConfig,
-    ShardedService,
-    make_service,
-    run_service,
-)
+from .serve.server import IndependenceService, ServeConfig, run_service
 from .storage import (
     DocumentStore,
     StorageBackend,
@@ -88,8 +81,6 @@ __all__ = [
     "IndependenceService",
     "LoadgenConfig",
     "ServeConfig",
-    "ShardedService",
-    "make_service",
     "run_loadgen",
     "run_service",
 ]

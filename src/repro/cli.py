@@ -22,12 +22,12 @@ Subcommands::
     python -m repro fuzz [--count N] [--seed S] [--max-tags N] \\
         [--json report.json] [--corpus-dir DIR]
     python -m repro serve [--port P] [--store URL] [--max-batch N] \\
-        [--shards N] [--mode batched|engine|oneshot] \\
-        [--max-documents N] [--preload xmark ...]
+        [--mode batched|engine|oneshot] [--max-documents N] \\
+        [--preload xmark ...]
     python -m repro loadgen [--port P] [--clients N] [--requests N] \\
         [--schema xmark --schema gen:11 ...] [--source bench|exprgen] \\
-        [--shards N] [--expect-coalescing] [--json report.json]
-    python -m repro serve-bench [--shards N] [--json BENCH_serve.json]
+        [--expect-coalescing] [--json report.json]
+    python -m repro serve-bench [--json BENCH_serve.json]
 
 ``--dtd`` accepts a file of ``<!ELEMENT ...>`` declarations; the built-in
 schemas are available as ``--builtin xmark|bib|paper-doc|paper-d1``.
@@ -499,7 +499,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         max_documents=args.max_documents,
         pair_cache_size=args.pair_cache,
         preload=tuple(args.preload),
-        shards=args.shards,
         slow_ms=args.slow_ms,
         slow_log_path=args.slow_log or "",
         metrics_port=args.metrics_port,
@@ -509,7 +508,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         metrics = (f", metrics=:{service.metrics_port}"
                    if service.metrics_port else "")
         print(f"repro serve: listening on {host}:{port} "
-              f"(mode={config.analysis_mode}, shards={config.shards}, "
+              f"(mode={config.analysis_mode}, "
               f"store={config.store_path}{metrics})",
               flush=True)
 
@@ -551,12 +550,11 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
           f"p50 {report['latency_ms']['p50']:.2f} ms, "
           f"p99 {report['latency_ms']['p99']:.2f} ms, "
           f"{service['batches']} batches "
-          f"({service['coalesced_requests']} coalesced, "
-          f"{service['shards']} shard(s))")
+          f"({service['coalesced_requests']} coalesced)")
     server = report.get("server_metrics")
     if server is not None:
         analyze = server["per_op"].get("analyze", {})
-        print(f"server ({server['role']}): analyze count "
+        print("server: analyze count "
               f"{analyze.get('count', 0)}, "
               f"p50 {analyze.get('p50_ms', 0.0):.2f} ms, "
               f"p99 {analyze.get('p99_ms', 0.0):.2f} ms, "
@@ -582,18 +580,6 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
               f"({service['batches']} batches, "
               f"{service['coalesced_requests']} coalesced)")
         return 1
-    if args.shards is not None:
-        if service["shards"] != args.shards:
-            print(f"error: --shards {args.shards}, but the service "
-                  f"reports {service['shards']} shard(s)")
-            return 1
-        routing = service["shard_routing"] or {}
-        busy = sum(1 for routed in routing.values() if routed > 0)
-        if args.shards > 1 and busy < 2:
-            print("error: --shards expects analyze traffic to spread, "
-                  f"but only {busy} shard(s) received requests "
-                  f"({routing})")
-            return 1
     return 0
 
 
@@ -602,15 +588,12 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
 
     results = run_serve_bench(
         workload={"requests": args.requests, "clients": args.clients},
-        shards=args.shards,
         store=args.store,
     )
-    ok = results["verdicts_identical"] and \
-        results.get("sharding", {}).get("verdicts_identical", True)
     if args.json:
         append_trajectory_point(args.json, results)
         print(f"appended trajectory point to {args.json}")
-    return 0 if ok else 1
+    return 0 if results["verdicts_identical"] else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -812,8 +795,7 @@ def build_parser() -> argparse.ArgumentParser:
         epilog="defaults: "
                f"max-batch {serve_defaults.max_batch}, "
                f"max-schemas {serve_defaults.max_schemas}, "
-               f"max-documents {serve_defaults.max_documents}, "
-               f"shards {serve_defaults.shards}, store "
+               f"max-documents {serve_defaults.max_documents}, store "
                f"{serve_defaults.store_path} (ephemeral). "
                "Wire reference: docs/PROTOCOL.md; architecture: "
                "docs/ARCHITECTURE.md; store URLs: docs/STORAGE.md.",
@@ -831,9 +813,7 @@ def build_parser() -> argparse.ArgumentParser:
                                 "documents in one backend, and loaded "
                                 "documents survive restarts without a "
                                 "re-parse (default: in-memory, no "
-                                "document store; with --shards, the "
-                                "backend is shared by all shards; "
-                                "see docs/STORAGE.md)")
+                                "document store; see docs/STORAGE.md)")
     serve_cmd.add_argument("--max-batch", type=int,
                            default=serve_defaults.max_batch,
                            help="close a micro-batch to later "
@@ -854,11 +834,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_cmd.add_argument("--pair-cache", type=int,
                            default=serve_defaults.pair_cache_size,
                            help="per-engine pair-memo LRU bound")
-    serve_cmd.add_argument("--shards", type=int,
-                           default=serve_defaults.shards,
-                           help="worker processes; requests route to "
-                                "shards by schema-digest affinity "
-                                "(1 = classic in-process service)")
     serve_cmd.add_argument("--preload", nargs="*", default=["xmark"],
                            help="builtin schemas to register at startup")
     serve_cmd.add_argument("--slow-ms", type=float,
@@ -886,7 +861,7 @@ def build_parser() -> argparse.ArgumentParser:
                f"{loadgen_defaults.n_updates} pools, schema "
                f"{loadgen_defaults.schema} ({loadgen_defaults.source}). "
                "Repeat --schema (builtins or gen:<seed>) for a "
-               "multi-schema workload that exercises a sharded service.",
+               "multi-schema workload.",
     )
     loadgen_cmd.add_argument("--host", default=loadgen_defaults.host)
     loadgen_cmd.add_argument("--port", type=int,
@@ -922,10 +897,6 @@ def build_parser() -> argparse.ArgumentParser:
                                   "actually coalesced requests: both "
                                   "batches > 0 and coalesced_requests "
                                   "> 0 after the run (CI smoke)")
-    loadgen_cmd.add_argument("--shards", type=int, default=None,
-                             help="fail unless the service reports this "
-                                  "many shards and (for > 1) analyze "
-                                  "traffic reached at least two of them")
     loadgen_cmd.add_argument("--scrape-metrics", action="store_true",
                              help="scrape the metrics op before/after "
                                   "the run, cross-check server-side "
@@ -944,15 +915,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve_bench_cmd = commands.add_parser(
         "serve-bench",
-        help="serving acceptance numbers: batched vs unbatched modes, "
-             "plus the sharded vs single-shard comparison",
+        help="serving acceptance numbers: batched vs unbatched modes",
     )
     serve_bench_cmd.add_argument("--requests", type=int, default=1200,
                                  help="requests per mode")
     serve_bench_cmd.add_argument("--clients", type=int, default=32)
-    serve_bench_cmd.add_argument("--shards", type=int, default=2,
-                                 help="shard count for the sharding "
-                                      "comparison (<= 1 skips it)")
     serve_bench_cmd.add_argument("--store", default=None,
                                  type=_store_url,
                                  help="store URL to bench against "

@@ -5,7 +5,7 @@ every layer of the serving stack:
 
 - :mod:`repro.obs.metrics` — counters, gauges, and log-spaced-bucket
   latency histograms in a process-wide registry whose snapshots are
-  JSON-serializable and mergeable across shard processes.
+  JSON-serializable.
 - :mod:`repro.obs.tracing` — request-scoped trace contexts with timed
   spans, plus the bounded slow-request ring and JSON-lines slow log.
 - :mod:`repro.obs.plan` — request-scoped query plans (EXPLAIN): every
@@ -18,14 +18,13 @@ The instrument inventory (one module-level family per metric) lives in
 against it by the doc tests.
 """
 
-from .metrics import REGISTRY, MetricsRegistry, merge_snapshots
+from .metrics import REGISTRY, MetricsRegistry
 from .plan import PlanContext, current_plan, decision, finish_plan, render_plan, start_plan
 from .tracing import TraceContext, current_trace, span, start_trace
 
 __all__ = [
     "REGISTRY",
     "MetricsRegistry",
-    "merge_snapshots",
     "PlanContext",
     "current_plan",
     "decision",

@@ -1,8 +1,7 @@
 """Prometheus text-format exposition and the ``/metrics`` HTTP listener.
 
-:func:`render` turns a registry snapshot (or a merged multi-shard
-snapshot, see :func:`repro.obs.metrics.merge_snapshots`) into the
-Prometheus text exposition format, version 0.0.4:
+:func:`render` turns a registry snapshot into the Prometheus text
+exposition format, version 0.0.4:
 
 - ``# HELP`` / ``# TYPE`` header lines per family, families sorted by
   name;
@@ -14,7 +13,7 @@ Prometheus text exposition format, version 0.0.4:
 
 :func:`serve_metrics_http` is a deliberately tiny asyncio HTTP/1.1
 server answering ``GET /metrics`` so a real Prometheus can scrape the
-router without any extra dependency.  :func:`parse_exposition` is its
+service without any extra dependency.  :func:`parse_exposition` is its
 inverse: it reads exposition text back into a snapshot-shaped dict, so
 the ``repro metrics`` CLI can summarize an HTTP scrape exactly like a
 wire-op snapshot.
@@ -25,7 +24,7 @@ from __future__ import annotations
 import asyncio
 import json
 import re
-from collections.abc import Awaitable, Callable
+from collections.abc import Callable
 
 __all__ = ["CONTENT_TYPE", "parse_exposition", "render", "serve_metrics_http"]
 
@@ -55,7 +54,7 @@ def _labelstr(names: list[str], values: list[str], extra: tuple[str, str] | None
 
 
 def render(snapshot: dict) -> str:
-    """Render a (possibly merged) registry snapshot to exposition text."""
+    """Render a registry snapshot to exposition text."""
     out: list[str] = []
     for name, family in sorted(snapshot.get("families", {}).items()):
         kind = family["kind"]
@@ -203,15 +202,13 @@ def parse_exposition(text: str) -> dict:
 async def serve_metrics_http(
     host: str,
     port: int,
-    supplier: Callable[[], Awaitable[str]],
+    supplier: Callable[[], str],
 ) -> asyncio.Server:
     """Start an HTTP listener answering ``GET /metrics`` from ``supplier``.
 
-    ``supplier`` is awaited per scrape and must return exposition text
-    (the caller decides whether that is the local registry or a merged
-    fan-out view).  Anything but ``GET /metrics`` gets a 404; responses
-    close the connection.  Returns the ``asyncio.Server`` (caller owns
-    shutdown).
+    ``supplier`` is called per scrape and must return exposition text.
+    Anything but ``GET /metrics`` gets a 404; responses close the
+    connection.  Returns the ``asyncio.Server`` (caller owns shutdown).
     """
 
     async def handle(reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
@@ -224,7 +221,7 @@ async def serve_metrics_http(
             parts = request_line.split()
             path = parts[1].decode("ascii", "replace").split("?", 1)[0] if len(parts) > 1 else ""
             if len(parts) > 1 and parts[0] == b"GET" and path == "/metrics":
-                body = (await supplier()).encode("utf-8")
+                body = supplier().encode("utf-8")
                 status, ctype = b"200 OK", CONTENT_TYPE.encode("ascii")
             else:
                 body = b"not found\n"

@@ -7,17 +7,14 @@ Design constraints (ISSUE 8):
   a single integer add.  Child handles are cached per label tuple, so
   steady-state instrumentation performs no allocation beyond the label
   lookup.
-- **Mergeable across processes.**  ``MetricsRegistry.snapshot()``
-  returns a plain JSON-serializable dict; :func:`merge_snapshots` sums
-  any number of such snapshots (per-shard views) into the aggregate the
-  router serves, exactly like ``/stats`` merges counters today.
+- **Serializable.**  ``MetricsRegistry.snapshot()`` returns a plain
+  JSON-serializable dict (what the ``metrics`` wire op carries).
 - **No dependencies.**  Rendering to Prometheus text format lives in
   :mod:`repro.obs.export`; this module knows nothing about wire formats.
 
 All serving-stack instruments are declared at the bottom of this module
 as module-level families registered on the process-default
-:data:`REGISTRY`.  Shard workers are separate processes, so each holds
-its own registry; the router fans out the ``metrics`` op and merges.
+:data:`REGISTRY`.
 ``docs/OBSERVABILITY.md`` carries a table of these families that the doc
 tests diff against the registry, so new instruments must be documented.
 """
@@ -36,7 +33,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "REGISTRY",
-    "merge_snapshots",
     "histogram_quantile",
 ]
 
@@ -65,17 +61,9 @@ class Counter:
         """Serializable state: ``{"value": n}``."""
         return {"value": self.value}
 
-    def merge(self, data: dict) -> None:
-        """Fold another process's serialized state into this child."""
-        self.value += data["value"]
-
 
 class Gauge:
-    """A point-in-time number; merging sums across processes.
-
-    The sum-on-merge convention matches ``/stats``: a per-shard resident
-    document count merges into the fleet-wide total.
-    """
+    """A point-in-time number."""
 
     __slots__ = ("value",)
 
@@ -93,10 +81,6 @@ class Gauge:
     def data(self) -> dict:
         """Serializable state: ``{"value": x}``."""
         return {"value": self.value}
-
-    def merge(self, data: dict) -> None:
-        """Fold another process's serialized state into this child."""
-        self.value += data["value"]
 
 
 class Histogram:
@@ -129,15 +113,6 @@ class Histogram:
             "sum": self.sum,
             "count": self.count,
         }
-
-    def merge(self, data: dict) -> None:
-        """Fold another process's serialized state into this child."""
-        if list(self.bounds) != data["bounds"]:
-            raise ValueError("cannot merge histograms with different bounds")
-        for i, n in enumerate(data["counts"]):
-            self.counts[i] += n
-        self.sum += data["sum"]
-        self.count += data["count"]
 
 
 _KINDS = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
@@ -209,7 +184,7 @@ class Family:
 
 
 class MetricsRegistry:
-    """A named collection of metric families with mergeable snapshots."""
+    """A named collection of metric families with serializable snapshots."""
 
     def __init__(self) -> None:
         self._families: dict[str, Family] = {}
@@ -251,59 +226,6 @@ class MetricsRegistry:
         return {"families": {name: f.data() for name, f in sorted(self._families.items())}}
 
 
-def merge_snapshots(snapshots: list[dict]) -> dict:
-    """Sum any number of registry snapshots into one aggregate snapshot.
-
-    Families are united by name; children with identical label tuples
-    have their counts/sums added, which is exactly "the router view is
-    the sum of the per-shard views".  Mismatched kinds, label schemas,
-    or histogram bounds raise ``ValueError``.
-    """
-    merged: dict[str, dict] = {}
-    for snap in snapshots:
-        for name, fam in snap.get("families", {}).items():
-            target = merged.get(name)
-            if target is None:
-                merged[name] = {
-                    "kind": fam["kind"],
-                    "help": fam["help"],
-                    "labels": list(fam["labels"]),
-                    "children": {k: _copy_child(fam["kind"], v) for k, v in fam["children"].items()},
-                }
-                continue
-            if target["kind"] != fam["kind"] or target["labels"] != fam["labels"]:
-                raise ValueError(f"metric {name!r} has conflicting schemas across snapshots")
-            for key, child in fam["children"].items():
-                existing = target["children"].get(key)
-                if existing is None:
-                    target["children"][key] = _copy_child(fam["kind"], child)
-                else:
-                    _merge_child(fam["kind"], existing, child)
-    return {"families": {name: merged[name] for name in sorted(merged)}}
-
-
-def _copy_child(kind: str, data: dict) -> dict:
-    if kind == "histogram":
-        return {
-            "bounds": list(data["bounds"]),
-            "counts": list(data["counts"]),
-            "sum": data["sum"],
-            "count": data["count"],
-        }
-    return {"value": data["value"]}
-
-
-def _merge_child(kind: str, target: dict, data: dict) -> None:
-    if kind == "histogram":
-        if target["bounds"] != data["bounds"]:
-            raise ValueError("cannot merge histograms with different bounds")
-        target["counts"] = [a + b for a, b in zip(target["counts"], data["counts"])]
-        target["sum"] += data["sum"]
-        target["count"] += data["count"]
-    else:
-        target["value"] += data["value"]
-
-
 def histogram_quantile(child: dict, q: float) -> float:
     """Estimate the ``q``-quantile (0..1) from a histogram child snapshot.
 
@@ -335,8 +257,7 @@ def histogram_quantile(child: dict, q: float) -> float:
     return float(bounds[-1]) if bounds else 0.0
 
 
-#: Process-default registry.  Each shard worker is its own process, so
-#: this is naturally a per-shard view; the router merges.
+#: Process-default registry.
 REGISTRY = MetricsRegistry()
 
 # --- Serving-stack instrument inventory (documented in
@@ -345,23 +266,22 @@ REGISTRY = MetricsRegistry()
 
 REQUEST_SECONDS = REGISTRY.histogram(
     "repro_request_seconds",
-    "Wire request latency by op; role=router on the shard router, role=service in workers.",
-    ("op", "role"),
+    "Wire request latency by op.",
+    ("op",),
 )
 REQUEST_ERRORS = REGISTRY.counter(
     "repro_request_errors_total",
     "Error responses by op and error code.",
-    ("op", "code", "role"),
+    ("op", "code"),
 )
 CONNECTIONS = REGISTRY.counter(
     "repro_connections_total",
     "Accepted wire connections.",
-    ("role",),
 )
 SLOW_REQUESTS = REGISTRY.counter(
     "repro_slow_requests_total",
     "Requests slower than the --slow-ms threshold.",
-    ("op", "role"),
+    ("op",),
 )
 BATCH_QUEUE_WAIT = REGISTRY.histogram(
     "repro_batch_queue_wait_seconds",
@@ -403,11 +323,6 @@ DOC_QUERY_SECONDS = REGISTRY.histogram(
 DOCUMENTS_LOADED = REGISTRY.gauge(
     "repro_documents_loaded",
     "Documents currently resident in the in-process document cache.",
-)
-SHARD_ROUTED = REGISTRY.counter(
-    "repro_shard_routed_total",
-    "Requests the router forwarded, by shard index.",
-    ("shard",),
 )
 PLAN_DECISIONS_TOTAL = REGISTRY.counter(
     "repro_plan_decisions_total",

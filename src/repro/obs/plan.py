@@ -6,8 +6,6 @@ Every layer on the serving path attaches structured *decision* records
 to a request-scoped :class:`PlanContext` (a :class:`contextvars.ContextVar`,
 same pattern as :class:`~repro.obs.tracing.TraceContext`):
 
-- ``router`` — which shard was chosen and why the schema reference
-  resolved (``digest`` / ``alias`` / ``builtin``).
 - ``batcher`` — how the analyze call was executed: coalesced into a
   ``matrix`` or ``sparse`` flush (with flush id and dedup factor),
   ``direct`` when batching is disabled, ``oneshot`` when the client
@@ -34,9 +32,8 @@ never explode label cardinality.  The vocabulary table in
 tests.
 
 Plans surface three ways: the opt-in ``explain: true`` wire envelope
-flag (the shard router folds worker plans under its own, mirroring
-trace forwarding), the ``repro explain`` CLI (renders a plan as an
-indented tree via :func:`render_plan` without a serve loop), and
+flag, the ``repro explain`` CLI (renders a plan as an indented tree
+via :func:`render_plan` without a serve loop), and
 automatic capture into the :class:`~repro.obs.tracing.SlowRequestLog`
 ring so slow requests arrive with their plan attached.
 """
@@ -70,7 +67,6 @@ __all__ = [
 #: ``other``.  ``docs/OBSERVABILITY.md`` carries this table and the doc
 #: tests diff it against this constant.
 PLAN_DECISIONS: dict[str, tuple[str, ...]] = {
-    "router": ("digest", "alias", "builtin"),
     "batcher": ("matrix", "sparse", "direct", "oneshot", "fallback"),
     "engine": ("pair_memo", "store", "computed"),
     "docstore": ("projected", "unprojected", "from_store", "generated"),
@@ -141,21 +137,14 @@ class PlanContext:
             record["detail"] = detail
         self.decisions.append(record)
 
-    def report(self, inner: dict | None = None) -> dict:
-        """The wire-format ``plan`` field for this request.
-
-        ``inner`` is a downstream layer's plan report (a shard worker's,
-        when the router forwarded the request): it nests under a
-        ``shard`` key, mirroring how trace reports fold shard timing.
-        """
+    def report(self) -> dict:
+        """The wire-format ``plan`` field for this request."""
         report: dict = {
             "decisions": list(self.decisions),
             "total_ms": round((time.perf_counter() - self.started) * 1000.0, 3),
         }
         if self.dropped:
             report["dropped"] = self.dropped
-        if inner:
-            report["shard"] = inner
         return report
 
 
@@ -244,12 +233,11 @@ def clip(text: str, limit: int = 200) -> str:
     return text if len(text) <= limit else text[: limit - 1] + "…"
 
 
-def render_plan(report: dict, indent: int = 0) -> str:
+def render_plan(report: dict) -> str:
     """Render a plan report as an indented decision tree (CLI output).
 
     Decisions print one per line as ``layer: decision`` with their
-    detail keys sorted beneath; a folded shard plan nests one level
-    deeper, so the router/worker structure reads as a tree.
+    detail keys sorted beneath.
 
     >>> plan = PlanContext()
     >>> plan.add("pushdown", "compiled", steps=2, sql="SELECT ...")
@@ -260,17 +248,12 @@ def render_plan(report: dict, indent: int = 0) -> str:
       steps = 2
     answer: pushdown
     """
-    pad = "  " * indent
     lines = []
     for record in report.get("decisions", ()):
-        lines.append(f"{pad}{record['layer']}: {record['decision']}")
+        lines.append(f"{record['layer']}: {record['decision']}")
         detail = record.get("detail") or {}
         for key in sorted(detail):
-            lines.append(f"{pad}  {key} = {detail[key]}")
+            lines.append(f"  {key} = {detail[key]}")
     if report.get("dropped"):
-        lines.append(f"{pad}(+{report['dropped']} decisions dropped)")
-    shard = report.get("shard")
-    if shard:
-        lines.append(f"{pad}shard:")
-        lines.append(render_plan(shard, indent + 1))
+        lines.append(f"(+{report['dropped']} decisions dropped)")
     return "\n".join(lines)

@@ -9,10 +9,6 @@ from ``time.perf_counter()`` only (see ``tests/test_timing_discipline``).
 Span-name vocabulary (documented in ``docs/OBSERVABILITY.md``, diffed by
 the doc tests):
 
-- ``router`` — router-side round-trip for a forwarded request (resolve
-  shard, forward over the ``ShardLink``, await the response).
-- ``shard`` — total time inside the shard worker, as reported by the
-  worker's own trace (synthesized by the router when merging).
 - ``queue_wait`` — time between submit and the analysis worker taking
   the request's group in the admission batcher.
 - ``engine`` — analysis/evaluation work on the analysis thread (for a
@@ -42,7 +38,7 @@ __all__ = [
 ]
 
 #: The closed span-name vocabulary used by the serving stack.
-SPAN_NAMES: tuple[str, ...] = ("router", "shard", "queue_wait", "engine", "store")
+SPAN_NAMES: tuple[str, ...] = ("queue_wait", "engine", "store")
 
 _CURRENT: ContextVar["TraceContext | None"] = ContextVar("repro_trace", default=None)
 
@@ -76,17 +72,9 @@ class TraceContext:
         finally:
             self.add_span(name, time.perf_counter() - t0)
 
-    def report(self, inner: dict | None = None) -> dict:
-        """The wire-format ``timing`` breakdown for this trace.
-
-        ``inner`` is a downstream layer's report (a shard worker's, when
-        the router forwarded the request): its total becomes a ``shard``
-        span and its spans are appended after the local ones.
-        """
+    def report(self) -> dict:
+        """The wire-format ``timing`` breakdown for this trace."""
         spans = [{"name": name, "ms": round(seconds * 1000.0, 3)} for name, seconds in self.spans]
-        if inner:
-            spans.append({"name": "shard", "ms": inner.get("total_ms", 0.0)})
-            spans.extend(inner.get("spans", ()))
         return {
             "trace": self.trace_id,
             "total_ms": round((time.perf_counter() - self.started) * 1000.0, 3),

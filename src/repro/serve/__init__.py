@@ -9,12 +9,6 @@ verdict written through to a restart-surviving store
 (:mod:`repro.storage`) and schemas hosted in an LRU-bounded registry
 (:mod:`.registry`).
 
-With ``shards > 1`` the service becomes a schema-affinity **router**
-over a pool of shard worker processes (:mod:`.sharding`): each shard
-owns a partition of the schema space (its own engines, admission
-queue, and registry), all shards share one persistent verdict store,
-and distinct schemas analyze truly in parallel on separate cores.
-
 :mod:`.loadgen` is the closed-loop traffic generator used by the
 benchmark gate and the CI smoke job.  See ``docs/ARCHITECTURE.md`` for
 the layer map and ``docs/PROTOCOL.md`` for the wire reference.
@@ -36,11 +30,8 @@ from .server import (
     ANALYSIS_MODES,
     IndependenceService,
     ServeConfig,
-    ShardedService,
-    make_service,
     run_service,
 )
-from .sharding import ShardLink, builtin_digest, shard_for
 
 __all__ = [
     "ANALYSIS_MODES",
@@ -53,20 +44,15 @@ __all__ = [
     "ProtocolError",
     "SchemaRegistry",
     "ServeConfig",
-    "ShardLink",
-    "ShardedService",
     "UnknownSchemaError",
     "WireVerdict",
-    "builtin_digest",
     "decode_request",
     "dtd_text",
     "encode",
     "generated_schema",
-    "make_service",
     "run_loadgen",
     "run_loadgen_sync",
     "run_service",
-    "shard_for",
     "workload_pool",
     "workload_pools",
 ]

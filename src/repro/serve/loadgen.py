@@ -6,9 +6,8 @@ so offered load is bounded by service latency (closed loop), and the
 report contains both sides of that coin: throughput and latency
 percentiles.
 
-The workload may span **several schemas** (the shape that exercises a
-sharded service: distinct schema digests route to distinct shard
-processes and analyze in parallel).  Each schema ref in
+The workload may span **several schemas**, each with its own engine
+and admission groups in the service.  Each schema ref in
 :attr:`LoadgenConfig.schema` gets its own query/update pool:
 
 * ``"xmark"`` with ``source="bench"`` -- the paper's benchmark views
@@ -21,8 +20,7 @@ processes and analyze in parallel).  Each schema ref in
 
 The generator also snapshots the service's ``stats`` endpoint before
 and after the run, so a report shows how many admission batches the
-traffic coalesced into -- the CI smoke job asserts this is nonzero --
-plus, against a sharded service, how requests spread across shards.
+traffic coalesced into -- the CI smoke job asserts this is nonzero.
 It cross-checks that every verdict for one ``(schema, pair)`` is
 identical across clients and repeats (any divergence counts as an
 error).
@@ -88,9 +86,9 @@ class LoadgenConfig:
 def generated_schema(seed: int) -> SchemaSpec:
     """The deterministic ``gen:<seed>`` workload schema.
 
-    A pure function of ``seed``: the router, the loadgen process, and
-    any test all derive the same spec (and therefore the same content
-    digest, and the same owning shard).
+    A pure function of ``seed``: the loadgen process, the benchmark,
+    and any test all derive the same spec (and therefore the same
+    content digest).
     """
     return SchemaGenerator(
         random.Random(seed), min_tags=5, max_tags=7,
@@ -271,8 +269,6 @@ async def _client(config: LoadgenConfig, index: int, count: int,
                 "id": f"c{index}-doc{sequence}",
                 "op": "doc.query",
                 "schema": ref,
-                # The persistence key (unprefixed): doc.query routes by
-                # schema affinity and resolves shard-locally.
                 "doc": doc_name,
                 "query": queries[sequence % len(queries)],
                 "limit": 1,
@@ -354,13 +350,7 @@ async def _metrics(config: LoadgenConfig) -> dict:
 
 
 async def _load_document(config: LoadgenConfig) -> str:
-    """Load the run's shared workload document; returns its doc name.
-
-    The name is the *persistence key* (unprefixed): ``doc.query``
-    requests pass it verbatim and the service's own ``doc_id_prefix``
-    namespaces it per shard, so the same loadgen invocation works
-    against sharded and unsharded services alike.
-    """
+    """Load the run's shared workload document; returns its doc name."""
     name = f"lg{config.seed}"
     reader, writer = await asyncio.open_connection(
         config.host, config.port, limit=MAX_LINE_BYTES
@@ -388,17 +378,11 @@ async def _load_document(config: LoadgenConfig) -> str:
             pass
 
 
-def _request_seconds_delta(before: dict, after: dict) -> tuple[str, dict]:
+def _request_seconds_delta(before: dict, after: dict) -> dict[str, dict]:
     """Per-op delta of the server's ``repro_request_seconds`` family.
 
-    Returns ``(role, {op: histogram_child})`` where the deltas are the
-    run's own observations (after minus before) and ``role`` is the
-    client-facing series: ``"router"`` when router-role series moved
-    during this run (a sharded service -- its service-role series count
-    the same requests again, once per shard hop), else ``"service"``.
-    The choice is made on the *delta*, not the raw snapshot, so stale
-    router series from an earlier run against the same process cannot
-    misattribute an unsharded run.
+    Returns ``{op: histogram_child}`` holding the run's own
+    observations (after minus before).
     """
     family_after = after.get("families", {}).get(
         "repro_request_seconds", {}
@@ -408,32 +392,23 @@ def _request_seconds_delta(before: dict, after: dict) -> tuple[str, dict]:
     )
     children_after = family_after.get("children", {})
     children_before = family_before.get("children", {})
-
-    def deltas_for(role: str) -> dict[str, dict]:
-        deltas: dict[str, dict] = {}
-        for key, child in children_after.items():
-            op, child_role = json.loads(key)
-            if child_role != role:
-                continue
-            previous = children_before.get(key)
-            counts = list(child["counts"])
-            total = child["sum"]
-            count = child["count"]
-            if previous is not None:
-                counts = [now - then for now, then
-                          in zip(counts, previous["counts"])]
-                total -= previous["sum"]
-                count -= previous["count"]
-            if count:
-                deltas[op] = {"bounds": list(child["bounds"]),
-                              "counts": counts, "sum": total,
-                              "count": count}
-        return deltas
-
-    router_deltas = deltas_for("router")
-    if router_deltas:
-        return "router", router_deltas
-    return "service", deltas_for("service")
+    deltas: dict[str, dict] = {}
+    for key, child in children_after.items():
+        (op,) = json.loads(key)
+        previous = children_before.get(key)
+        counts = list(child["counts"])
+        total = child["sum"]
+        count = child["count"]
+        if previous is not None:
+            counts = [now - then for now, then
+                      in zip(counts, previous["counts"])]
+            total -= previous["sum"]
+            count -= previous["count"]
+        if count:
+            deltas[op] = {"bounds": list(child["bounds"]),
+                          "counts": counts, "sum": total,
+                          "count": count}
+    return deltas
 
 
 def _span_breakdown(spans: dict) -> dict:
@@ -447,22 +422,6 @@ def _span_breakdown(spans: dict) -> dict:
             for name, values in sorted(per_op.items())
         }
         for op, per_op in sorted(spans.items())
-    }
-
-
-def _shard_routing(before: dict, after: dict) -> dict[str, int] | None:
-    """Requests the router forwarded to each shard during the run."""
-    shards_after = after.get("per_shard")
-    if not shards_after:
-        return None
-    routed_before = {
-        entry["shard"]: entry.get("routed", 0)
-        for entry in before.get("per_shard", ())
-    }
-    return {
-        str(entry["shard"]):
-            entry.get("routed", 0) - routed_before.get(entry["shard"], 0)
-        for entry in shards_after
     }
 
 
@@ -497,13 +456,12 @@ async def run_loadgen(config: LoadgenConfig) -> dict:
     ordered = sorted(latencies)
     extras: dict = {}
     if config.scrape_metrics and metrics_after:
-        role, deltas = _request_seconds_delta(
+        deltas = _request_seconds_delta(
             metrics_before.get("snapshot", {}),
             metrics_after.get("snapshot", {}),
         )
         analyze_count = deltas.get("analyze", {}).get("count", 0)
         extras["server_metrics"] = {
-            "role": role,
             "per_op": {
                 op: {
                     "count": child["count"],
@@ -572,8 +530,6 @@ async def run_loadgen(config: LoadgenConfig) -> dict:
         },
         "service": {
             "analysis_mode": after.get("analysis_mode"),
-            "shards": after.get("shards", 1),
-            "shard_routing": _shard_routing(before, after),
             "coalesced_requests": coalesced,
             "batches": batches,
             "store_verdicts": after.get("store", {}).get("verdicts"),

@@ -50,8 +50,8 @@ ERROR_CODES = (
 
 #: Every operation the service understands, in documentation order.
 #: This tuple is the single source of truth for the op list: the
-#: server's dispatch table, the sharded router's routing table, and the
-#: op sections of ``docs/PROTOCOL.md`` are all diffed against it by
+#: server's dispatch table and the op sections of ``docs/PROTOCOL.md``
+#: are both diffed against it by
 #: ``tests/docs/test_protocol_doc.py`` -- the documentation cannot
 #: drift from the wire without a test failure.
 OPS = (
@@ -108,8 +108,8 @@ def encode(payload: dict) -> bytes:
     """One compact JSON line, ready for the socket.
 
     Keys are sorted, so equal payloads encode byte-identically -- the
-    property the benchmark gate's cross-mode (and cross-shard-count)
-    verdict comparison rests on.
+    property the benchmark gate's cross-mode verdict comparison rests
+    on.
 
     >>> encode({"op": "ping", "id": 1})
     b'{"id":1,"op":"ping"}\\n'

@@ -1,6 +1,6 @@
 """The independence service: an asyncio JSON-lines-over-TCP server.
 
-Architecture of one (unsharded) service instance, top to bottom::
+Architecture of one service instance, top to bottom::
 
     connections (asyncio streams, one task per connection,
                  concurrent per-request dispatch, responses tagged by id)
@@ -16,26 +16,6 @@ waves), and materialized-view maintenance
 connection-independent doc ids.  All engine work runs on the batcher's
 single analysis worker thread; the event loop only parses, dispatches,
 and writes.
-
-With ``shards`` > 1 the admission path changes shape from "one queue,
-one thread" to "router + shard pool": :class:`ShardedService` spawns a
-pool of worker *processes* (each a complete single-shard service on a
-loopback port, see :mod:`.sharding`) and becomes a thin router that
-hashes each request's schema digest onto its owning shard::
-
-    clients -> ShardedService (router: resolve ref -> digest,
-               shard_for(digest, N), forward over one pipelined
-               ShardLink per shard)
-      -> shard 0..N-1 (each: its own MicroBatcher + SchemaRegistry
-                       partition + AnalysisEngine instances)
-      -> one shared storage backend (SQLite WAL with multi-process
-         writers, or one PostgreSQL server shared across hosts)
-
-Coalescing still happens per ``(schema, k)`` inside the owning shard --
-affinity routing guarantees all traffic for one schema meets in one
-admission queue -- while distinct schemas analyze truly in parallel on
-separate cores, which is what lifts the single-core throughput cap of
-the unsharded service.
 
 ``analysis_mode`` selects how ``analyze`` requests are served:
 
@@ -70,7 +50,6 @@ from ..docstore.pushdown import (
     step_label,
 )
 from ..docstore.streamload import load_path, load_xml
-from ..schema.dtd import DTD
 from ..viewmaint.cache import ViewCache
 from ..viewmaint.scheduler import IsolationScheduler
 from ..xmldm.generator import generate_document
@@ -78,7 +57,7 @@ from ..xmldm.projection import keep_set_for_chains, project
 from ..xmldm.serialize import serialize
 from ..obs import metrics as obs_metrics
 from ..obs.export import render, serve_metrics_http
-from ..obs.metrics import REGISTRY, merge_snapshots
+from ..obs.metrics import REGISTRY
 from ..obs.plan import (
     current_plan,
     finish_plan,
@@ -87,7 +66,6 @@ from ..obs.plan import (
 from ..obs.plan import decision as plan_decision
 from ..obs.tracing import (
     SlowRequestLog,
-    current_trace,
     finish_trace,
     span,
     start_trace,
@@ -98,7 +76,6 @@ from ..xquery.parser import parse_query
 from .batching import MicroBatcher, wire_verdict
 from .protocol import (
     BAD_PARAMS,
-    ERROR_CODES,
     INTERNAL,
     MAX_LINE_BYTES,
     OPS,
@@ -114,15 +91,7 @@ from .protocol import (
     require,
 )
 from ..storage import open_store, parse_store_url
-from .registry import BUILTIN_SCHEMAS, SchemaRegistry, UnknownSchemaError
-from .sharding import (
-    DIGEST_RE,
-    ShardLink,
-    builtin_digest,
-    join_shards,
-    shard_for,
-    spawn_shards,
-)
+from .registry import SchemaRegistry, UnknownSchemaError
 
 ANALYSIS_MODES = ("batched", "engine", "oneshot")
 
@@ -131,14 +100,6 @@ ANALYSIS_MODES = ("batched", "engine", "oneshot")
 class ServeConfig:
     """Knobs of one service instance (CLI flags map 1:1).
 
-    ``shards`` selects the serving topology: ``1`` (default) runs the
-    classic in-process service; ``N > 1`` runs a router plus ``N``
-    worker processes with schema-affinity request routing (see
-    :class:`ShardedService`).  ``shard_index`` and ``doc_id_prefix``
-    are set by the router on the worker copies of the config -- they
-    label a worker's ``/stats`` payload and namespace its document ids
-    so the router can route document operations statelessly.
-
     ``store_path`` is a **store URL** (``memory://``,
     ``sqlite:///path.db``, ``postgresql://host/db`` -- see
     :mod:`repro.storage` and ``docs/STORAGE.md``).  ``memory://`` (the
@@ -146,10 +107,9 @@ class ServeConfig:
     runs without a document store.  A file or server URL persists
     verdicts *and* documents in one backend: loaded documents are
     saved as node tables and served from the table after a restart
-    instead of being re-parsed.  With
-    ``shards`` the backend is shared by all shard workers.  Anything
-    that is not a store URL (a plain path, ``":memory:"``) or is
-    ``sqlite:///:memory:`` is a :class:`ValueError` at construction.
+    instead of being re-parsed.  Anything that is not a store URL (a
+    plain path, ``":memory:"``) or is ``sqlite:///:memory:`` is a
+    :class:`ValueError` at construction.
     """
 
     host: str = "127.0.0.1"
@@ -161,9 +121,6 @@ class ServeConfig:
     max_documents: int = 64
     pair_cache_size: int | None = None
     preload: tuple[str, ...] = ()
-    shards: int = 1
-    shard_index: int | None = None
-    doc_id_prefix: str = ""
     #: Requests at least this many milliseconds of wall time are
     #: recorded in the in-memory slow-request ring (surfaced by the
     #: ``metrics`` op) and, with ``slow_log_path``, appended as JSON
@@ -171,8 +128,7 @@ class ServeConfig:
     slow_ms: float = 0.0
     slow_log_path: str = ""
     #: Extra HTTP listener answering ``GET /metrics`` with Prometheus
-    #: text exposition (0 disables).  In the sharded topology only the
-    #: router binds it; workers expose metrics over the wire op.
+    #: text exposition (0 disables).
     metrics_port: int = 0
 
     def __post_init__(self) -> None:
@@ -180,14 +136,12 @@ class ServeConfig:
             raise ValueError(
                 f"analysis_mode must be one of {ANALYSIS_MODES}"
             )
-        if self.shards < 1:
-            raise ValueError("shards must be >= 1")
         parse_store_url(self.store_path)
 
 
 @dataclass
 class _ServiceStats:
-    """Front-door counters shared by the plain service and the router."""
+    """Front-door counters of one service."""
 
     started: float = field(default_factory=time.perf_counter)
     connections: int = 0
@@ -197,26 +151,21 @@ class _ServiceStats:
 
 
 class JsonLinesFront:
-    """The shared TCP front: line framing, concurrent dispatch, errors.
+    """The TCP front: line framing, concurrent dispatch, errors.
 
-    Both the unsharded :class:`IndependenceService` and the
-    :class:`ShardedService` router serve the same wire surface; this
-    base owns everything protocol-shaped -- accepting connections,
+    This base owns everything protocol-shaped -- accepting connections,
     reading one JSON request per line, dispatching requests
     concurrently (responses may be answered out of order; clients match
     on ``id``), mapping exceptions to error responses, and orderly
-    shutdown -- while subclasses implement ``_dispatch`` only.
+    shutdown -- while :class:`IndependenceService` implements
+    ``_dispatch``.
     """
 
-    def __init__(self, host: str, port: int, *, role: str = "service",
-                 slow_ms: float = 0.0, slow_log_path: str = "",
-                 metrics_port: int = 0):
+    def __init__(self, host: str, port: int, *, slow_ms: float = 0.0,
+                 slow_log_path: str = "", metrics_port: int = 0):
         self._host = host
         self._port = port
         self.stats = _ServiceStats()
-        #: Metric ``role`` label: ``"router"`` on the sharded router,
-        #: ``"service"`` on the unsharded service and shard workers.
-        self.role = role
         self.slow = SlowRequestLog(slow_ms, slow_log_path)
         self._metrics_port = metrics_port
         self._metrics_server: asyncio.Server | None = None
@@ -236,7 +185,8 @@ class JsonLinesFront:
         )
         if self._metrics_port:
             self._metrics_server = await serve_metrics_http(
-                self._host, self._metrics_port, self._metrics_text
+                self._host, self._metrics_port,
+                lambda: render(REGISTRY.snapshot()),
             )
         sockname = self._server.sockets[0].getsockname()
         return sockname[0], sockname[1]
@@ -294,7 +244,7 @@ class JsonLinesFront:
                                  writer: asyncio.StreamWriter) -> None:
         """One task per client connection: frame lines, spawn dispatch."""
         self.stats.connections += 1
-        obs_metrics.CONNECTIONS.labels(role=self.role).inc()
+        obs_metrics.CONNECTIONS.inc()
         self._connections.add(asyncio.current_task())
         write_lock = asyncio.Lock()
         pending: set[asyncio.Task] = set()
@@ -346,9 +296,8 @@ class JsonLinesFront:
         breakdown attached to the success response; ``explain: true``
         requests additionally run under a
         :class:`~repro.obs.plan.PlanContext` and get the decision plan
-        attached (a forwarded shard's plan folds under the router's);
-        requests over the ``--slow-ms`` threshold land in the slow
-        ring/log, with their plan when one was captured.
+        attached; requests over the ``--slow-ms`` threshold land in the
+        slow ring/log, with their plan when one was captured.
         """
         self.stats.requests += 1
         request_id = None
@@ -369,22 +318,12 @@ class JsonLinesFront:
             if request.explain or self.slow.enabled:
                 plan = start_plan()
             result = await self._dispatch(request)
-            if result.get("ok") is False:
-                # A forwarded shard error: count it like a local one.
-                self.stats.errors += 1
-                forwarded = (result.get("error") or {}).get("code")
-                error_code = forwarded if forwarded in ERROR_CODES \
-                    else INTERNAL
-            elif request.timing or request.explain:
+            if request.timing or request.explain:
                 result = dict(result)
                 if request.timing:
-                    result["timing"] = trace.report(
-                        inner=result.pop("timing", None)
-                    )
+                    result["timing"] = trace.report()
                 if request.explain and plan is not None:
-                    plan_report = plan.report(
-                        inner=result.pop("plan", None)
-                    )
+                    plan_report = plan.report()
                     result["plan"] = plan_report
             response = ok_response(request_id, result)
         except ProtocolError as error:
@@ -410,21 +349,17 @@ class JsonLinesFront:
             if plan is not None:
                 finish_plan(plan)
         elapsed = time.perf_counter() - started
-        obs_metrics.REQUEST_SECONDS.labels(
-            op=op_label, role=self.role
-        ).observe(elapsed)
+        obs_metrics.REQUEST_SECONDS.labels(op=op_label).observe(elapsed)
         if error_code is not None:
             obs_metrics.REQUEST_ERRORS.labels(
-                op=op_label, code=error_code, role=self.role
+                op=op_label, code=error_code
             ).inc()
         if trace is not None and self.slow.enabled:
             if plan is not None and plan_report is None:
                 plan_report = plan.report()
             if self.slow.record(op_label, trace, elapsed * 1000.0,
                                 ok=error_code is None, plan=plan_report):
-                obs_metrics.SLOW_REQUESTS.labels(
-                    op=op_label, role=self.role
-                ).inc()
+                obs_metrics.SLOW_REQUESTS.labels(op=op_label).inc()
         try:
             async with write_lock:
                 writer.write(response)
@@ -433,23 +368,8 @@ class JsonLinesFront:
             pass
 
     async def _dispatch(self, request: Request) -> dict:
-        """Serve one decoded request (implemented by subclasses)."""
+        """Serve one decoded request (implemented by the subclass)."""
         raise NotImplementedError
-
-    # -- metrics surface -----------------------------------------------------
-
-    async def _metrics_snapshot(self) -> dict:
-        """The mergeable registry snapshot this front exposes.
-
-        The unsharded service (and every shard worker) exposes its own
-        process registry; the sharded router overrides this with the
-        fan-out merge across its workers.
-        """
-        return REGISTRY.snapshot()
-
-    async def _metrics_text(self) -> str:
-        """Prometheus text exposition for the HTTP ``/metrics`` listener."""
-        return render(await self._metrics_snapshot())
 
 
 #: Known op names, for clamping the request histogram's ``op`` label.
@@ -466,12 +386,7 @@ def _answer_in_memory(query, tree, limit):
 
 
 class IndependenceService(JsonLinesFront):
-    """One unsharded service instance: registry + store + batcher + TCP.
-
-    Also the body of every shard worker process in the sharded
-    topology (a shard *is* an ordinary single-threaded service, plus a
-    ``doc_id_prefix`` so the router can route document ops to it).
-    """
+    """One service instance: registry + store + batcher + TCP."""
 
     #: op name -> handler method name; the dispatch table is built from
     #: this mapping, and ``tests/docs/test_protocol_doc.py`` diffs its
@@ -499,7 +414,6 @@ class IndependenceService(JsonLinesFront):
         self.config = config or ServeConfig()
         super().__init__(
             self.config.host, self.config.port,
-            role="service",
             slow_ms=self.config.slow_ms,
             slow_log_path=self.config.slow_log_path,
             metrics_port=self.config.metrics_port,
@@ -594,10 +508,9 @@ class IndependenceService(JsonLinesFront):
             docstore_stats["enabled"] = True
         else:
             docstore_stats = {"enabled": False}
-        payload = {
+        return {
             "uptime_seconds": time.perf_counter() - self.stats.started,
             "analysis_mode": self.config.analysis_mode,
-            "shards": 1,
             "connections": self.stats.connections,
             "requests": self.stats.requests,
             "errors": self.stats.errors,
@@ -613,18 +526,14 @@ class IndependenceService(JsonLinesFront):
             "batcher": self.batcher.stats(),
             "store": store_stats,
         }
-        if self.config.shard_index is not None:
-            payload["shard_index"] = self.config.shard_index
-        return payload
 
     async def _op_metrics(self, params: dict) -> dict:
         """The observability surface of this process.
 
-        Returns the Prometheus ``text`` exposition, the mergeable
-        ``snapshot`` it was rendered from (what the sharded router
-        aggregates), and the ``slow`` request ring.
+        Returns the Prometheus ``text`` exposition, the registry
+        ``snapshot`` it was rendered from, and the ``slow`` request ring.
         """
-        snapshot = await self._metrics_snapshot()
+        snapshot = REGISTRY.snapshot()
         return {
             "text": render(snapshot),
             "snapshot": snapshot,
@@ -814,17 +723,12 @@ class IndependenceService(JsonLinesFront):
 
         Skips names already loaded in this service or persisted in the
         document store (a client-supplied ``doc: "d1"`` must never be
-        silently overwritten by a later anonymous load).  Sharded
-        workers scope their anonymous names (``d<shard>x<n>``) so two
-        shards sharing one document-store file cannot race each other
-        to the same persistence key.
+        silently overwritten by a later anonymous load).
         """
-        shard = self.config.shard_index
-        stem = "d" if shard is None else f"d{shard}x"
         while True:
             self._next_doc += 1
-            name = f"{stem}{self._next_doc}"
-            if f"{self.config.doc_id_prefix}{name}" in self._documents:
+            name = f"d{self._next_doc}"
+            if name in self._documents:
                 continue
             if self.docstore is not None and \
                     self.docstore.describe(name) is not None:
@@ -852,12 +756,6 @@ class IndependenceService(JsonLinesFront):
                                 'parameter "doc" must be a non-empty str')
         if name is None:
             name = await self._in_analysis_thread(self._fresh_doc_name)
-        # The prefix namespaces ids per shard (``s<index>-<name>``) so
-        # the sharded router can route later doc ops without shared
-        # state; the *persistence* key is the unprefixed name, so a
-        # persisted document survives topology changes (affinity
-        # routing reloads it on whichever shard now owns its schema).
-        doc_id = f"{self.config.doc_id_prefix}{name}"
         meta = {
             "projected": False,
             "from_store": False,
@@ -865,6 +763,9 @@ class IndependenceService(JsonLinesFront):
         }
         provenance = "unprojected"
         depth_cap = None
+        # project_for named queries, but their chain sets were too
+        # large to enumerate, so the load keeps every node.
+        chain_limit = False
         requested = self._validated_project_for(params)
         if "xml" in params or "path" in params:
             keep = await self._in_analysis_thread(
@@ -873,6 +774,7 @@ class IndependenceService(JsonLinesFront):
             meta["projected"] = keep is not None
             provenance = "projected" if keep is not None else "unprojected"
             depth_cap = keep.truncation if keep is not None else None
+            chain_limit = bool(requested) and keep is None
             if "xml" in params:
                 xml = require(params, "xml")
                 loader = lambda: load_xml(xml, keep=keep)  # noqa: E731
@@ -981,6 +883,7 @@ class IndependenceService(JsonLinesFront):
                 meta["projected"] = keep is not None
                 provenance = "generated"
                 depth_cap = keep.truncation if keep is not None else None
+                chain_limit = bool(requested) and keep is None
 
                 def generate():
                     document = generate_document(schema, target,
@@ -1012,18 +915,18 @@ class IndependenceService(JsonLinesFront):
                         },
                     )
                 )
-        self._documents[doc_id] = ViewCache(schema, tree, engine=engine)
+        self._documents[name] = ViewCache(schema, tree, engine=engine)
         # Reloads must count as a fresh touch, or a just-reloaded doc
         # keeps its old LRU position and can be evicted immediately.
-        self._documents.move_to_end(doc_id)
-        self._doc_meta[doc_id] = meta
+        self._documents.move_to_end(name)
+        self._doc_meta[name] = meta
         while len(self._documents) > self.config.max_documents:
             evicted, _ = self._documents.popitem(last=False)
             self._doc_meta.pop(evicted, None)
             self.document_evictions += 1
         obs_metrics.DOCUMENTS_LOADED.set(len(self._documents))
         detail = {
-            "doc": doc_id,
+            "doc": name,
             "nodes": meta["nodes"],
             "nodes_seen": meta["nodes_seen"],
             "subtrees_skipped": meta["subtrees_skipped"],
@@ -1031,8 +934,10 @@ class IndependenceService(JsonLinesFront):
         }
         if depth_cap is not None:
             detail["depth_cap"] = depth_cap
+        if chain_limit:
+            detail["reason"] = "chain_limit"
         plan_decision("docstore", provenance, **detail)
-        return {"doc": doc_id, **meta}
+        return {"doc": name, **meta}
 
     async def _op_doc_query(self, params: dict) -> dict:
         """Answer a query over a loaded *or persisted* document.
@@ -1073,10 +978,9 @@ class IndependenceService(JsonLinesFront):
             raise ProtocolError(
                 BAD_PARAMS, f"query does not parse: {error}"
             ) from error
-        doc_id = f"{self.config.doc_id_prefix}{name}"
-        cache = self._documents.get(doc_id)
+        cache = self._documents.get(name)
         if cache is not None:
-            self._documents.move_to_end(doc_id)
+            self._documents.move_to_end(name)
             t0 = time.perf_counter()
             with span("engine"):
                 locs, answers = await self._in_analysis_thread(
@@ -1087,14 +991,14 @@ class IndependenceService(JsonLinesFront):
             ).observe(time.perf_counter() - t0)
             self.doc_queries["materialized"] += 1
             plan_decision("answer", "materialized",
-                          doc=doc_id, count=len(locs))
-            return {"doc": doc_id, "count": len(locs),
+                          doc=name, count=len(locs))
+            return {"doc": name, "count": len(locs),
                     "answers": answers, "mode": "materialized",
                     "from_store": False}
         if self.docstore is None:
             raise ProtocolError(
                 UNKNOWN_DOC,
-                f"document not loaded: {doc_id!r} (and the service "
+                f"document not loaded: {name!r} (and the service "
                 "has no document store to answer from)",
             )
         stored = await self._in_analysis_thread(
@@ -1173,8 +1077,8 @@ class IndependenceService(JsonLinesFront):
             ).observe(time.perf_counter() - t0)
             self.doc_queries["fallback"] += 1
             mode = "fallback"
-        plan_decision("answer", mode, doc=doc_id, count=len(locs))
-        return {"doc": doc_id, "count": len(locs),
+        plan_decision("answer", mode, doc=name, count=len(locs))
+        return {"doc": name, "count": len(locs),
                 "answers": answers, "mode": mode, "from_store": True}
 
     async def _op_doc_unload(self, params: dict) -> dict:
@@ -1236,474 +1140,9 @@ class IndependenceService(JsonLinesFront):
         }
 
 
-class ShardedService(JsonLinesFront):
-    """Schema-affinity router over a pool of shard worker processes.
-
-    The router owns no engines: it resolves each request's schema ref
-    to a content digest, hashes the digest onto the owning shard
-    (:func:`~repro.serve.sharding.shard_for`), and forwards the request
-    over that shard's pipelined :class:`~repro.serve.sharding.ShardLink`.
-    Verdicts are pure functions of ``(schema digest, k, query,
-    update)``, so any topology answers byte-identically -- the shard
-    count only decides how many cores analyze concurrently.
-
-    Reference resolution is stateless where possible (a 64-hex ref *is*
-    a digest; builtin names digest deterministically) plus a bounded
-    alias table mirrored from successful ``schema.register`` calls.
-    Document ids carry their shard (``s<index>-d<n>``), so document
-    operations route without any router-side document state.
-    """
-
-    #: op name -> routing class.  Diffed against
-    #: :data:`repro.serve.protocol.OPS` by the protocol-doc test so a
-    #: new op cannot silently bypass the router.
-    ROUTING = {
-        "ping": "local",
-        "analyze": "schema",
-        "matrix": "schema",
-        "schedule": "schema",
-        "schema.register": "register",
-        "schema.evict": "evict",
-        "schema.list": "fanout",
-        "doc.load": "schema",
-        # doc.query names the *persistence* key (unprefixed), so it
-        # routes like doc.load: by schema affinity, landing on the
-        # shard that owns (and would have loaded) the document.
-        "doc.query": "schema",
-        "doc.unload": "doc",
-        "view.register": "doc",
-        "view.result": "doc",
-        "update.apply": "doc",
-        "stats": "fanout",
-        "metrics": "fanout",
-        "shutdown": "local",
-    }
-
-    #: Floor for the router's alias and registration-digest tables;
-    #: the effective bound scales with the pool's registry capacity
-    #: (``max_schemas`` per shard) so the router cannot forget names
-    #: its shards still hold.
-    MAX_ALIASES = 4096
-
-    def __init__(self, config: ServeConfig):
-        super().__init__(
-            config.host, config.port,
-            role="router",
-            slow_ms=config.slow_ms,
-            slow_log_path=config.slow_log_path,
-            metrics_port=config.metrics_port,
-        )
-        self.config = config
-        #: Backend kind (never opened router-side: the router owns no
-        #: stores, but stats aggregation needs to know whether the
-        #: shards share one backend or hold private ones).
-        self.store_kind = parse_store_url(config.store_path).kind
-        self.max_aliases = max(
-            self.MAX_ALIASES, config.max_schemas * config.shards
-        )
-        self._handles: list = []
-        self._links: list[ShardLink] = []
-        self._shards_closed = False
-        # name -> digest, mirrored from successful registrations (and
-        # preloads); bounded so hostile clients cannot grow the router.
-        self._aliases: OrderedDict[str, str] = OrderedDict()
-        # (root, dtd text) digest memo so re-registrations skip the
-        # router-side DTD parse.
-        self._text_digests: OrderedDict[tuple[str, str], str] = (
-            OrderedDict()
-        )
-
-    # -- lifecycle -----------------------------------------------------------
-
-    async def start(self) -> tuple[str, int]:
-        """Spawn and connect the shard pool, then open the front door."""
-        loop = asyncio.get_running_loop()
-        self._handles = await loop.run_in_executor(
-            None, spawn_shards, self.config, self.config.shards
-        )
-        try:
-            for handle in self._handles:
-                link = ShardLink(handle.index, handle.host, handle.port)
-                await link.connect()
-                self._links.append(link)
-            for name in self.config.preload:
-                self._remember_alias(name, builtin_digest(name))
-            return await super().start()
-        except BaseException:
-            await self._close_backend()
-            raise
-
-    async def _close_backend(self) -> None:
-        """Shut down every shard worker and reap the processes."""
-        if self._shards_closed:
-            return
-        self._shards_closed = True
-        for link in self._links:
-            try:
-                await asyncio.wait_for(link.call("shutdown", {}),
-                                       timeout=5.0)
-            except (TimeoutError, ConnectionError, AssertionError):
-                pass
-            await link.aclose()
-        if self._handles:
-            await asyncio.get_running_loop().run_in_executor(
-                None, join_shards, self._handles
-            )
-
-    # -- routing -------------------------------------------------------------
-
-    def _remember_alias(self, name: str, digest: str) -> None:
-        self._aliases[name] = digest
-        self._aliases.move_to_end(name)
-        while len(self._aliases) > self.max_aliases:
-            self._aliases.popitem(last=False)
-
-    def _route_digest(self, ref: str) -> str:
-        """Schema ref -> content digest, without asking any shard.
-
-        Raises :class:`UnknownSchemaError` when the ref is neither a
-        known alias, a builtin name, nor a literal digest.
-        """
-        digest, _how = self._route_digest_explain(ref)
-        return digest
-
-    def _route_digest_explain(self, ref: str) -> tuple[str, str]:
-        """:meth:`_route_digest` plus *how* the ref resolved.
-
-        The second element is the router's plan-decision name:
-        ``alias`` (router-side alias table hit), ``builtin`` (named
-        builtin schema), or ``digest`` (the ref already was a literal
-        content digest).
-        """
-        digest = self._aliases.get(ref)
-        if digest is not None:
-            self._aliases.move_to_end(ref)
-            return digest, "alias"
-        if ref in BUILTIN_SCHEMAS:
-            return builtin_digest(ref), "builtin"
-        if DIGEST_RE.fullmatch(ref):
-            return ref, "digest"
-        raise UnknownSchemaError(ref)
-
-    def _link_for_digest(self, digest: str) -> ShardLink:
-        return self._links[shard_for(digest, self.config.shards)]
-
-    def _link_for_doc(self, doc_id: str) -> ShardLink:
-        """Doc id -> owning shard, parsed from the ``s<index>-`` prefix."""
-        if doc_id.startswith("s"):
-            index, dash, _ = doc_id[1:].partition("-")
-            if dash and index.isdigit() and \
-                    int(index) < self.config.shards:
-                return self._links[int(index)]
-        raise ProtocolError(UNKNOWN_DOC,
-                            f"document not loaded: {doc_id!r}")
-
-    @staticmethod
-    def _payload(response: dict) -> dict:
-        """A forwarded response minus the shard-internal ``id``."""
-        return {key: value for key, value in response.items()
-                if key != "id"}
-
-    # -- dispatch ------------------------------------------------------------
-
-    async def _dispatch(self, request: Request) -> dict:
-        routing = self.ROUTING.get(request.op)
-        if routing is None:
-            raise ProtocolError(UNKNOWN_OP,
-                                f"unknown op {request.op!r}")
-        self.stats.ops[request.op] = \
-            self.stats.ops.get(request.op, 0) + 1
-        params = request.params
-        if routing == "local":
-            if request.op == "ping":
-                return {"pong": True}
-            return await self._op_shutdown(params)
-        if routing == "schema":
-            ref = require(params, "schema")
-            digest, how = self._route_digest_explain(ref)
-            link = self._link_for_digest(digest)
-            plan_decision("router", how, schema=ref, shard=link.index,
-                          digest=digest[:12])
-            return await self._forward(link, request)
-        if routing == "doc":
-            link = self._link_for_doc(require(params, "doc"))
-            return await self._forward(link, request)
-        if routing == "register":
-            return await self._op_schema_register(params)
-        if routing == "evict":
-            return await self._op_schema_evict(params)
-        if request.op == "stats":
-            return await self._op_stats(params)
-        if request.op == "metrics":
-            return await self._op_metrics(params)
-        return await self._op_schema_list(params)
-
-    async def _forward(self, link: ShardLink, request: Request) -> dict:
-        """Forward a routed request to its owning shard.
-
-        When the client asked for tracing (a ``trace`` id or
-        ``timing: true``), the envelope fields are propagated so the
-        shard joins the same trace and returns its span breakdown (the
-        router's ``_serve_line`` then merges it under a ``router``
-        span).  ``explain: true`` is propagated the same way, so the
-        shard returns its own plan for the router's ``_serve_line`` to
-        fold under the router plan.  Untraced, unexplained requests
-        forward byte-identically to before.
-        """
-        obs_metrics.SHARD_ROUTED.labels(shard=str(link.index)).inc()
-        params = request.params
-        if request.timing or request.trace is not None or request.explain:
-            trace = current_trace()
-            params = dict(params)
-            if trace is not None:
-                params["trace"] = trace.trace_id
-            if request.timing:
-                params["timing"] = True
-            if request.explain:
-                params["explain"] = True
-        with span("router"):
-            response = await link.call(request.op, params)
-        return self._payload(response)
-
-    # -- ops -----------------------------------------------------------------
-
-    async def _op_shutdown(self, params: dict) -> dict:
-        """Stop the router; shards are shut down during teardown."""
-        asyncio.get_running_loop().call_soon(self.stop)
-        return {"stopping": True}
-
-    async def _op_schema_register(self, params: dict) -> dict:
-        """Digest the schema router-side, then register on its owner."""
-        name = params.get("name")
-        if name is not None and not isinstance(name, str):
-            raise ProtocolError(BAD_PARAMS,
-                                'parameter "name" must be str')
-        if "builtin" in params:
-            builtin = require(params, "builtin")
-            digest = builtin_digest(builtin)  # raises UnknownSchemaError
-        else:
-            root = require(params, "root")
-            dtd_text = require(params, "dtd")
-            digest = self._text_digests.get((root, dtd_text))
-            if digest is None:
-                try:
-                    digest = schema_digest(
-                        DTD.from_dtd_text(root, dtd_text)
-                    )
-                except Exception as error:
-                    raise ProtocolError(
-                        BAD_PARAMS, f"unparsable DTD: {error}"
-                    ) from error
-                self._text_digests[(root, dtd_text)] = digest
-                while len(self._text_digests) > self.MAX_ALIASES:
-                    self._text_digests.popitem(last=False)
-        link = self._link_for_digest(digest)
-        response = await link.call("schema.register", params)
-        if response.get("ok"):
-            if "builtin" in params:
-                self._remember_alias(params["builtin"], digest)
-            if name:
-                self._remember_alias(name, digest)
-        return self._payload(response)
-
-    async def _op_schema_evict(self, params: dict) -> dict:
-        """Evict on the owning shard; unknown refs evict nothing."""
-        ref = require(params, "schema")
-        try:
-            digest = self._route_digest(ref)
-        except UnknownSchemaError:
-            return {"evicted": False}
-        link = self._link_for_digest(digest)
-        response = await link.call("schema.evict", params)
-        if response.get("ok") and response.get("evicted") and \
-                self._aliases.get(ref) == digest:
-            del self._aliases[ref]
-        return self._payload(response)
-
-    async def _fanout(self, op: str) -> list[dict]:
-        """One call per shard, concurrently; raises on any failure."""
-        responses = await asyncio.gather(
-            *(link.call(op, {}) for link in self._links)
-        )
-        for link, response in zip(self._links, responses):
-            if not response.get("ok"):
-                raise ProtocolError(
-                    INTERNAL,
-                    f"shard {link.index} failed {op!r}: "
-                    f"{response.get('error')}",
-                )
-        return [self._payload(response) for response in responses]
-
-    async def _op_schema_list(self, params: dict) -> dict:
-        """Union of every shard's registered schemas."""
-        payloads = await self._fanout("schema.list")
-        schemas = []
-        for shard_payload in payloads:
-            schemas.extend(shard_payload["schemas"])
-        return {"schemas": schemas}
-
-    @staticmethod
-    def _aggregate_docstore(per_shard: list[dict]) -> dict:
-        """Aggregate shard document-store counters.
-
-        Per-process counters (hits/misses/saves) sum; table sizes come
-        from one shared file, so any shard's snapshot is authoritative
-        (take the max to tolerate skew).
-        """
-        enabled = [p["docstore"] for p in per_shard
-                   if p["docstore"].get("enabled")]
-        if not enabled:
-            return {"enabled": False}
-        return {
-            "enabled": True,
-            "path": enabled[0]["path"],
-            "documents": max(p["documents"] for p in enabled),
-            "nodes": max(p["nodes"] for p in enabled),
-            "hits": sum(p["hits"] for p in enabled),
-            "misses": sum(p["misses"] for p in enabled),
-            "saves": sum(p["saves"] for p in enabled),
-        }
-
-    #: Batcher counters summed across shards in aggregated ``/stats``.
-    _BATCHER_SUMMED = ("requests", "batches", "coalesced_requests",
-                       "matrix_pairs", "sparse_batches",
-                       "fallback_singles")
-    #: Registry counters summed across shards.
-    _REGISTRY_SUMMED = ("schemas", "registrations", "evictions",
-                        "explicit_evictions")
-
-    async def _op_stats(self, params: dict) -> dict:
-        """Aggregated service counters plus the raw per-shard payloads.
-
-        Top-level keys mirror the unsharded ``stats`` payload (so
-        monitoring and the load generator work unchanged): batcher and
-        registry counters are summed across shards, per-engine stats
-        merge collision-free (affinity routing puts each digest on
-        exactly one shard), and the store verdict count is the shared
-        file's.  ``per_shard`` carries each worker's full payload,
-        annotated with the router's per-shard routing counter.
-        """
-        payloads = await self._fanout("stats")
-        per_shard = []
-        for link, shard_payload in zip(self._links, payloads):
-            shard_payload = dict(shard_payload)
-            shard_payload.pop("ok", None)
-            shard_payload["shard"] = link.index
-            shard_payload["routed"] = link.routed
-            per_shard.append(shard_payload)
-        batcher = {
-            "enabled": self.config.analysis_mode == "batched",
-            "max_batch": self.config.max_batch,
-            "max_batch_size": max(
-                (p["batcher"]["max_batch_size"] for p in per_shard),
-                default=0,
-            ),
-        }
-        for key in self._BATCHER_SUMMED:
-            batcher[key] = sum(p["batcher"][key] for p in per_shard)
-        registry = {
-            "max_schemas": self.config.max_schemas,
-            "engines": {},
-        }
-        for key in self._REGISTRY_SUMMED:
-            registry[key] = sum(p["registry"][key] for p in per_shard)
-        for shard_payload in per_shard:
-            registry["engines"].update(
-                shard_payload["registry"]["engines"]
-            )
-        return {
-            "uptime_seconds": time.perf_counter() - self.stats.started,
-            "analysis_mode": self.config.analysis_mode,
-            "shards": self.config.shards,
-            "connections": self.stats.connections,
-            "requests": self.stats.requests,
-            "errors": self.stats.errors,
-            "ops": dict(self.stats.ops),
-            "documents": sum(p["documents"] for p in per_shard),
-            "document_evictions": sum(
-                p["document_evictions"] for p in per_shard
-            ),
-            "doc_queries": {
-                key: sum(p["doc_queries"][key] for p in per_shard)
-                for key in ("pushed_down", "fallback", "materialized")
-            },
-            # Doc ids are shard-prefixed, so the union is collision-free.
-            "documents_detail": {
-                doc: meta
-                for p in per_shard
-                for doc, meta in p["documents_detail"].items()
-            },
-            "docstore": self._aggregate_docstore(per_shard),
-            "registry": registry,
-            "batcher": batcher,
-            "store": {
-                "path": self.config.store_path,
-                # One shared backend (file or server): every shard
-                # reports the same count (take max to tolerate
-                # snapshot skew).  Memory stores are private per
-                # worker and disjoint under affinity routing, so the
-                # true total is the sum.
-                "verdicts": (
-                    sum(p["store"]["verdicts"] for p in per_shard)
-                    if self.store_kind == "memory"
-                    else max(
-                        (p["store"]["verdicts"] for p in per_shard),
-                        default=0,
-                    )
-                ),
-            },
-            "per_shard": per_shard,
-        }
-
-    async def _metrics_snapshot(self) -> dict:
-        """Router view: every shard's snapshot merged with the router's.
-
-        Merging sums children with identical label tuples (see
-        :func:`repro.obs.metrics.merge_snapshots`); router-side series
-        (``role="router"``, ``repro_shard_routed_total``) coexist with
-        the summed shard series (``role="service"``).
-        """
-        payloads = await self._fanout("metrics")
-        return merge_snapshots(
-            [REGISTRY.snapshot()]
-            + [p["snapshot"] for p in payloads]
-        )
-
-    async def _op_metrics(self, params: dict) -> dict:
-        """Aggregated observability surface of the whole topology.
-
-        ``snapshot`` is the merged router view, ``per_shard`` the raw
-        per-worker snapshots it was merged from (index-aligned with the
-        shard pool), and ``slow`` the union of every process's slow
-        ring, ordered by timestamp.
-        """
-        payloads = await self._fanout("metrics")
-        shard_snapshots = [p["snapshot"] for p in payloads]
-        merged = merge_snapshots([REGISTRY.snapshot()] + shard_snapshots)
-        slow = self.slow.entries()
-        for payload in payloads:
-            slow.extend(payload.get("slow", ()))
-        slow.sort(key=lambda entry: entry.get("ts", ""))
-        return {
-            "text": render(merged),
-            "snapshot": merged,
-            "per_shard": shard_snapshots,
-            "slow": slow[-128:],
-        }
-
-
-def make_service(
-    config: ServeConfig,
-) -> IndependenceService | ShardedService:
-    """The service topology ``config`` asks for (``shards`` decides)."""
-    if config.shards > 1:
-        return ShardedService(config)
-    return IndependenceService(config)
-
-
 async def run_service(config: ServeConfig, ready=None) -> None:
     """Start a service and block until a ``shutdown`` op (CLI body)."""
-    service = make_service(config)
+    service = IndependenceService(config)
     host, port = await service.start()
     if ready is not None:
         ready(service, host, port)

@@ -16,9 +16,9 @@ serving layer needs:
   answer axis traversals *inside* the database so persisted documents
   can be navigated without full re-materialization.
 
-Implementations: :mod:`repro.storage.sqlite` (one WAL database shared
-by multi-process shard writers, or a private ``:memory:`` database
-for ``memory://``) and :mod:`repro.storage.postgres` (one server
+Implementations: :mod:`repro.storage.sqlite` (one WAL database that
+several processes may write, or a private ``:memory:`` database for
+``memory://``) and :mod:`repro.storage.postgres` (one server
 shared by many hosts; psycopg-gated).  The conformance suite in
 ``tests/storage/test_conformance.py`` runs the same assertions against
 every backend.

@@ -1,7 +1,7 @@
 """PostgreSQL storage backend: one server shared by many hosts.
 
-This is the scale-out backend the ROADMAP names: N routers x M shard
-hosts over one shared Postgres.  Same interface, same row codec as the
+Several hosts (services, ``repro load`` runs) can share one server.
+Same interface, same row codec as the
 SQLite backend, with the server doing the heavy lifting:
 
 * **server-side group commit** -- :meth:`PgVerdictKV.deferred` holds

@@ -3,10 +3,10 @@
 This module owns every pragma the repo applies to a SQLite store in
 one :func:`connect` factory.  WAL keeps
 readers unblocked and makes group commit cheap; it also supports
-writers in *separate processes*, which is what lets every shard of a
-sharded service share one store file.  A shard holding a
+writers in *separate processes*, which is what lets ``repro load`` and
+a running service write one store file.  A process holding a
 :meth:`~SqliteVerdictKV.deferred` group-commit transaction briefly
-blocks other shards' commits, so the write lock gets a generous
+blocks the other's commits, so the write lock gets a generous
 ``busy_timeout`` instead of surfacing ``SQLITE_BUSY``; ``mmap_size``
 lets node-table range scans come straight from page-cache mappings.
 
@@ -423,8 +423,8 @@ class SqliteBackend(StorageBackend):
 
     The verdict KV and document store share one connection and one
     lock, so a unified ``sqlite:///x.db`` URL gives a service verdicts
-    *and* documents in a single WAL database that multi-process shard
-    workers can share.
+    *and* documents in a single WAL database that several processes
+    can write.
     """
 
     kind = "sqlite"
@@ -460,8 +460,7 @@ class SqliteMemoryBackend(SqliteBackend):
     """``memory://``: both facets over a private ``:memory:`` database.
 
     Per-process and unshared -- two opens share nothing -- which is
-    why a service on it keeps no document store and the sharded
-    router sums per-shard verdict counts.
+    why a service on it keeps no document store.
     """
 
     kind = "memory"

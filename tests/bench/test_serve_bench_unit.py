@@ -4,14 +4,7 @@ from __future__ import annotations
 
 import json
 
-from repro.bench.serve_bench import (
-    SHARD_WORKLOAD,
-    append_trajectory_point,
-    available_cores,
-)
-from repro.serve.loadgen import LoadgenConfig, workload_pools
-from repro.serve.sharding import builtin_digest, shard_for
-from repro.analysis.engine import schema_digest
+from repro.bench.serve_bench import append_trajectory_point, available_cores
 
 
 def test_available_cores_positive():
@@ -31,11 +24,11 @@ class TestTrajectoryFile:
         the first point of the trajectory."""
         path = tmp_path / "bench.json"
         path.write_text(json.dumps({"speedup_vs_oneshot": 11.6}))
-        append_trajectory_point(str(path), {"shard_speedup": 1.7})
+        append_trajectory_point(str(path), {"speedup_vs_engine": 1.7})
         data = json.loads(path.read_text())
         assert data["points"] == [
             {"speedup_vs_oneshot": 11.6},
-            {"shard_speedup": 1.7},
+            {"speedup_vs_engine": 1.7},
         ]
 
     def test_append_extends_existing_trajectory(self, tmp_path):
@@ -55,32 +48,4 @@ class TestTrajectoryFile:
         data = json.loads(path.read_text())
         assert isinstance(data["points"], list) and data["points"]
         latest = data["points"][-1]
-        assert "sharding" in latest
-        assert latest["sharding"]["verdicts_identical"] is True
-
-
-class TestShardWorkload:
-    def test_two_schemas_hash_to_different_shards(self):
-        """The committed shard workload must actually exercise both
-        shards of a 2-shard pool, or the gate measures nothing."""
-        refs = SHARD_WORKLOAD["schema"]
-        assert len(refs) == 2
-        config = LoadgenConfig(schema=refs, source="bench",
-                               n_queries=2, n_updates=2)
-        pools = workload_pools(config)
-        digests = []
-        for ref in refs:
-            if ref == "xmark":
-                digests.append(builtin_digest(ref))
-            else:
-                from repro.serve.loadgen import generated_schema
-
-                digests.append(
-                    schema_digest(
-                        generated_schema(int(ref[4:])).to_dtd()
-                    )
-                )
-        owners = {shard_for(digest, 2) for digest in digests}
-        assert owners == {0, 1}
-        assert all(queries and updates
-                   for queries, updates in pools.values())
+        assert latest["verdicts_identical"] is True

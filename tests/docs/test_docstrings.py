@@ -32,7 +32,6 @@ import repro.serve.loadgen
 import repro.serve.protocol
 import repro.serve.registry
 import repro.serve.server
-import repro.serve.sharding
 import repro.storage
 import repro.storage.base
 import repro.storage.postgres
@@ -57,7 +56,6 @@ MODULES = [
     repro.serve.protocol,
     repro.serve.registry,
     repro.serve.server,
-    repro.serve.sharding,
     repro.storage,
     repro.storage.base,
     repro.storage.postgres,

@@ -12,7 +12,7 @@ import re
 from pathlib import Path
 
 from repro.serve.protocol import ERROR_CODES, OPS
-from repro.serve.server import IndependenceService, ShardedService
+from repro.serve.server import IndependenceService
 
 DOC = Path(__file__).resolve().parents[2] / "docs" / "PROTOCOL.md"
 
@@ -35,10 +35,6 @@ def test_documented_ops_match_protocol_exactly():
 
 def test_server_dispatch_table_matches_protocol():
     assert set(IndependenceService.OP_HANDLERS) == set(OPS)
-
-
-def test_router_routing_table_matches_protocol():
-    assert set(ShardedService.ROUTING) == set(OPS)
 
 
 def test_every_error_code_documented():

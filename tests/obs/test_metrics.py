@@ -1,11 +1,4 @@
-"""Unit and property tests for the mergeable metrics registry.
-
-The load-bearing property (the whole point of snapshot merging) is
-checked with Hypothesis: splitting a sample stream across any number of
-per-shard histograms and merging their snapshots must be
-indistinguishable -- bucket counts, sum, and count -- from observing
-the concatenated stream in one histogram.
-"""
+"""Unit and property tests for the metrics registry."""
 
 from __future__ import annotations
 
@@ -18,23 +11,7 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
     histogram_quantile,
-    merge_snapshots,
 )
-
-
-def test_counter_and_gauge_merge_by_summing():
-    registry_a, registry_b = MetricsRegistry(), MetricsRegistry()
-    for registry, n in ((registry_a, 3), (registry_b, 4)):
-        family = registry.counter("c_total", "help", ("op",))
-        family.labels(op="analyze").inc(n)
-        gauge = registry.gauge("g", "help")
-        gauge.set(n)
-    merged = merge_snapshots([registry_a.snapshot(),
-                              registry_b.snapshot()])
-    counter = merged["families"]["c_total"]["children"]['["analyze"]']
-    assert counter["value"] == 7
-    gauge = merged["families"]["g"]["children"]["[]"]
-    assert gauge["value"] == 7
 
 
 def test_histogram_bucketing_is_le_inclusive():
@@ -59,14 +36,6 @@ def test_family_label_schema_is_enforced():
         registry.gauge("x_total", "help")  # kind mismatch
     # Idempotent re-registration returns the same family.
     assert registry.counter("x_total", "help", ("op",)) is family
-
-
-def test_merge_rejects_conflicting_schemas():
-    registry_a, registry_b = MetricsRegistry(), MetricsRegistry()
-    registry_a.counter("m", "help", ("op",)).labels(op="a").inc()
-    registry_b.counter("m", "help", ("code",)).labels(code="b").inc()
-    with pytest.raises(ValueError):
-        merge_snapshots([registry_a.snapshot(), registry_b.snapshot()])
 
 
 def test_quantile_interpolates_and_clamps():
@@ -141,35 +110,6 @@ _samples = st.lists(
               allow_infinity=False),
     max_size=60,
 )
-
-
-@given(shards=st.lists(_samples, min_size=1, max_size=5))
-def test_merged_shard_histograms_equal_one_histogram(shards):
-    """merge(per-shard snapshots) == one histogram over all samples."""
-    per_shard = []
-    for samples in shards:
-        registry = MetricsRegistry()
-        family = registry.histogram("repro_h_seconds", "help", ("op",))
-        for value in samples:
-            family.labels(op="analyze").observe(value)
-        per_shard.append(registry.snapshot())
-
-    whole = MetricsRegistry()
-    family = whole.histogram("repro_h_seconds", "help", ("op",))
-    for samples in shards:
-        for value in samples:
-            family.labels(op="analyze").observe(value)
-
-    merged = merge_snapshots(per_shard)
-    merged_child = merged["families"]["repro_h_seconds"]["children"]
-    whole_child = whole.snapshot()["families"]["repro_h_seconds"]["children"]
-    assert merged_child.keys() == whole_child.keys()
-    for key in whole_child:
-        assert merged_child[key]["counts"] == whole_child[key]["counts"]
-        assert merged_child[key]["count"] == whole_child[key]["count"]
-        assert merged_child[key]["sum"] == pytest.approx(
-            whole_child[key]["sum"]
-        )
 
 
 @given(samples=_samples)

@@ -76,7 +76,7 @@ def test_count_decision_clamps_unknown_labels_to_other():
 
 def test_vocabulary_layers_cover_the_serving_pipeline():
     assert set(PLAN_DECISIONS) == {
-        "router", "batcher", "engine", "docstore", "pushdown", "answer",
+        "batcher", "engine", "docstore", "pushdown", "answer",
     }
     assert set(INELIGIBILITY_REASONS) == {
         "non-step-source", "context-reuse", "unsupported-axis",
@@ -93,16 +93,11 @@ def test_decision_cap_counts_dropped_records():
     assert report["dropped"] == 5
 
 
-def test_report_nests_an_inner_shard_plan():
-    plan = PlanContext()
-    plan.add("router", "alias", shard=1)
-    inner = {"decisions": [{"layer": "answer", "decision": "pushdown"}],
-             "total_ms": 1.0}
-    report = plan.report(inner=inner)
-    assert report["shard"] is inner
+def test_report_stays_minimal():
+    report = PlanContext().report()
     assert report["total_ms"] >= 0.0
-    # Without decisions or an inner plan, the report stays minimal.
-    assert set(PlanContext().report()) == {"decisions", "total_ms"}
+    # Without decisions dropped, the report has no other keys.
+    assert set(report) == {"decisions", "total_ms"}
 
 
 def test_using_plan_installs_and_restores():
@@ -126,10 +121,8 @@ def test_clip_bounds_long_labels():
     assert clipped.endswith("…")
 
 
-def test_render_plan_indents_decisions_details_and_shards():
-    plan = PlanContext()
-    plan.add("router", "alias", shard=0)
-    report = plan.report(inner={
+def test_render_plan_indents_decisions_and_details():
+    report = {
         "decisions": [
             {"layer": "pushdown", "decision": "compiled",
              "detail": {"sql": "SELECT 1", "engine": "sql"}},
@@ -137,15 +130,11 @@ def test_render_plan_indents_decisions_details_and_shards():
         ],
         "total_ms": 1.0,
         "dropped": 2,
-    })
-    text = render_plan(report)
-    assert text.splitlines() == [
-        "router: alias",
-        "  shard = 0",
-        "shard:",
-        "  pushdown: compiled",
-        "    engine = sql",
-        "    sql = SELECT 1",
-        "  answer: pushdown",
-        "  (+2 decisions dropped)",
+    }
+    assert render_plan(report).splitlines() == [
+        "pushdown: compiled",
+        "  engine = sql",
+        "  sql = SELECT 1",
+        "answer: pushdown",
+        "(+2 decisions dropped)",
     ]

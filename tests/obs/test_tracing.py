@@ -48,20 +48,6 @@ def test_span_is_a_noop_without_a_trace():
         assert trace is None
 
 
-def test_report_merges_an_inner_shard_report():
-    trace = TraceContext("router1")
-    trace.add_span("router", 0.004)
-    inner = {"trace": "w", "total_ms": 3.0,
-             "spans": [{"name": "engine", "ms": 2.0}]}
-    report = trace.report(inner=inner)
-    assert report["trace"] == "router1"
-    names = [entry["name"] for entry in report["spans"]]
-    assert names == ["router", "shard", "engine"]
-    by_name = {entry["name"]: entry["ms"] for entry in report["spans"]}
-    assert by_name["shard"] == 3.0
-    assert set(names) <= set(SPAN_NAMES)
-
-
 def test_slow_log_threshold_ring_and_file(tmp_path):
     path = tmp_path / "slow.jsonl"
     log = SlowRequestLog(threshold_ms=5.0, path=str(path), capacity=2)

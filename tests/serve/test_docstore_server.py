@@ -266,37 +266,6 @@ def test_reload_refreshes_lru_position(xmark_file):
     asyncio.run(run())
 
 
-def test_persistence_key_survives_topology_change(tmp_path, xmark_file):
-    """A document persisted unsharded reloads from the table on a
-    sharded service (and vice versa) -- the node-table key is the
-    unprefixed name."""
-    db = f"sqlite:///{tmp_path / 'docs.sqlite'}"
-
-    async def run():
-        async with running_service(
-            preload=("xmark",), store_path=db,
-        ) as (_, host, port):
-            async with ServiceClient(host, port) as client:
-                loaded = await client.call(
-                    "doc.load", schema="xmark", path=xmark_file,
-                    doc="topo", project_for=["//emailaddress"],
-                )
-                assert loaded["ok"] and loaded["doc"] == "topo"
-        async with running_service(
-            shards=2, preload=("xmark",), store_path=db,
-        ) as (_, host, port):
-            async with ServiceClient(host, port) as client:
-                reloaded = await client.call("doc.load",
-                                             schema="xmark",
-                                             doc="topo")
-                assert reloaded["ok"], reloaded
-                assert reloaded["from_store"], reloaded
-                assert reloaded["doc"].endswith("-topo")
-                assert reloaded["nodes"] == loaded["nodes"]
-
-    asyncio.run(run())
-
-
 def test_generated_documents_honor_project_for():
     """project_for on a generated load must actually prune (and a
     truthful flag must never claim projection that did not happen)."""
@@ -637,49 +606,16 @@ def test_doc_query_error_paths(tmp_path, xmark_file):
     asyncio.run(run())
 
 
-def test_sharded_anonymous_names_are_shard_scoped(xmark_file):
-    """Anonymous persistence keys must differ across shards sharing
-    one document store (d<shard>x<n>)."""
-    from repro.serve.server import IndependenceService, ServeConfig
-
-    worker = IndependenceService(ServeConfig(port=0, shard_index=1,
-                                             doc_id_prefix="s1-"))
-    assert worker._fresh_doc_name() == "d1x1"
-    plain = IndependenceService(ServeConfig(port=0))
-    assert plain._fresh_doc_name() == "d1"
-
-
-def test_sharded_stats_aggregate_docstore(tmp_path, xmark_file):
-    db = f"sqlite:///{tmp_path / 'docs.sqlite'}"
+def test_anonymous_doc_ids_count_up_from_d1():
+    """Anonymous loads are named ``d1``, ``d2``, ... in load order."""
 
     async def run():
-        async with running_service(
-            shards=2, preload=("xmark",), store_path=db,
-        ) as (_, host, port):
+        async with running_service(preload=("xmark",)) as (_, host, port):
             async with ServiceClient(host, port) as client:
-                loaded = await client.call(
-                    "doc.load", schema="xmark", path=xmark_file,
-                    doc="sharded", project_for=["//emailaddress"],
-                )
-                assert loaded["ok"]
-                assert loaded["doc"].startswith("s")  # shard-prefixed
-                stats = await client.call("stats")
-                assert stats["docstore"]["enabled"]
-                assert stats["docstore"]["saves"] == 1
-                assert stats["docstore"]["documents"] == 1
-                assert loaded["doc"] in stats["documents_detail"]
-                # doc.query routes by schema affinity to the shard
-                # that loaded the doc; the router sums the counters.
-                queried = await client.call(
-                    "doc.query", schema="xmark", doc="sharded",
-                    query="//emailaddress", limit=3,
-                )
-                assert queried["ok"]
-                assert queried["mode"] == "materialized"
-                assert queried["doc"] == loaded["doc"]
-                stats = await client.call("stats")
-                assert stats["doc_queries"] == {
-                    "pushed_down": 0, "fallback": 0, "materialized": 1,
-                }
+                return [
+                    (await client.call("doc.load", schema="xmark",
+                                       bytes=1_000, seed=seed))["doc"]
+                    for seed in (1, 2)
+                ]
 
-    asyncio.run(run())
+    assert asyncio.run(run()) == ["d1", "d2"]

@@ -3,10 +3,7 @@
 Every layer decision the serving pipeline makes must be readable from
 the opt-in ``plan`` response field: the batcher's execution shape, the
 engine's verdict source, the docstore's load provenance, pushdown
-compilation (or its ineligibility reason), and the answer path.  The
-differential test at the bottom pins that a sharded service produces
-the same decision sequence as the unsharded one, modulo the router's
-own fold.
+compilation (or its ineligibility reason), and the answer path.
 """
 
 from __future__ import annotations
@@ -162,6 +159,7 @@ def test_doc_load_provenance_and_doc_query_answer_paths(tmp_path):
     assert docstore["detail"]["nodes"] == 7
     assert docstore["detail"]["subtrees_skipped"] == 1
     assert docstore["detail"]["depth_cap"] >= 1
+    assert "reason" not in docstore["detail"]
 
     assert materialized["mode"] == "materialized"
     assert _layer(materialized["plan"], "answer")["decision"] == \
@@ -234,34 +232,27 @@ def test_slow_ring_entries_arrive_with_their_plan():
     assert ("engine", "computed") in _decisions(plan)
 
 
-def test_sharded_plans_match_unsharded_modulo_router_fold(tmp_path):
-    async def drive(store, **config):
-        async with running_service(
-            preload=("bib",), store_path=store, **config
-        ) as (_, host, port):
-            async with ServiceClient(host, port) as client:
-                analyze = await client.call("analyze", explain=True,
-                                            **ANALYZE)
-                loaded = await client.call(
-                    "doc.load", schema="bib", doc="dx", xml=XML,
-                    explain=True,
-                )
-                query = await client.call(
-                    "doc.query", schema="bib", doc="dx",
-                    query="//title", explain=True,
-                )
-        return analyze, loaded, query
+def test_doc_load_names_the_chain_limit_when_projection_gives_up():
+    """``project_for`` whose chain sets are too large to enumerate
+    loads every node; the plan says why, the response does not change."""
+    xml = "<site><people><person><name>n</name></person></people></site>"
+    load = dict(schema="xmark", doc="all", xml=xml, project_for=["//*"])
 
-    single = asyncio.run(drive(f"sqlite:///{tmp_path}/single.db"))
-    sharded = asyncio.run(drive(f"sqlite:///{tmp_path}/sharded.db",
-                                shards=2))
-    for flat, routed in zip(single, sharded):
-        assert routed["ok"], routed
-        # The router's own plan holds exactly its routing decision
-        # (preloads are seeded into the alias table at start); the
-        # worker's plan nests under "shard" and must equal the
-        # unsharded decision sequence.
-        assert _decisions(routed["plan"]) == [("router", "alias")]
-        assert _decisions(routed["plan"]["shard"]) == \
-            _decisions(flat["plan"])
-        assert "shard" not in flat["plan"]
+    async def run():
+        async with running_service(preload=("xmark",)) as (_, host, port):
+            async with ServiceClient(host, port) as client:
+                explained = await client.call("doc.load", explain=True,
+                                              **load)
+                plain = await client.call("doc.load", **load)
+        return explained, plain
+
+    explained, plain = asyncio.run(run())
+    docstore = _layer(explained["plan"], "docstore")
+    assert docstore["decision"] == "unprojected"
+    assert docstore["detail"]["reason"] == "chain_limit"
+    assert docstore["detail"]["projected"] is False
+    assert explained["subtrees_skipped"] == 0
+    explained.pop("plan")
+    assert explained.keys() == plain.keys()
+    assert all(explained[key] == plain[key] for key in plain
+               if key != "id")

@@ -55,7 +55,6 @@ def test_report_gains_scrape_timing_and_doc_sections():
 
     assert observed["errors"] == 0, observed["error_samples"]
     server = observed["server_metrics"]
-    assert server["role"] == "service"
     assert server["counts_match"] is True
     analyze = server["per_op"]["analyze"]
     assert analyze["count"] == 12

@@ -1,5 +1,5 @@
 """Wire-level observability: the ``metrics`` op, trace/timing fields,
-the slow-request log, the HTTP scrape listener, and cross-shard merge.
+the slow-request log, and the HTTP scrape listener.
 
 The in-process service shares one process-default registry across
 tests, so every count assertion works on before/after deltas of two
@@ -51,14 +51,14 @@ def test_metrics_op_returns_valid_exposition_and_snapshot():
     validate_exposition(after["text"])
     assert isinstance(after["slow"], list)
     delta = _count_delta(before["snapshot"], after["snapshot"],
-                         "repro_request_seconds", "analyze", "service")
+                         "repro_request_seconds", "analyze")
     assert delta == 3
     errors = _child(after["snapshot"], "repro_request_errors_total",
-                    "doc.query", "unknown-doc", "service")
+                    "doc.query", "unknown-doc")
     assert errors and errors["value"] >= 1
     # The scraped histogram carries a usable latency estimate.
     child = _child(after["snapshot"], "repro_request_seconds",
-                   "analyze", "service")
+                   "analyze")
     assert histogram_quantile(child, 0.5) > 0.0
 
 
@@ -113,7 +113,7 @@ def test_slow_log_records_over_threshold_requests(tmp_path):
               slow_path.read_text().strip().splitlines()]
     assert any(line["op"] == "analyze" for line in logged)
     counted = _child(metrics["snapshot"], "repro_slow_requests_total",
-                     "analyze", "service")
+                     "analyze")
     assert counted and counted["value"] >= 1
 
 
@@ -160,68 +160,6 @@ def test_http_metrics_listener_serves_exposition():
     validate_exposition(text)
     assert "repro_request_seconds_bucket" in text
     assert not_found == 404
-
-
-def test_sharded_metrics_merge_equals_sum_of_shards(tmp_path):
-    async def run():
-        async with running_service(
-            preload=("bib",), shards=2,
-            store_path=f"sqlite:///{tmp_path / 'verdicts.sqlite'}",
-        ) as (_, host, port):
-            async with ServiceClient(host, port) as client:
-                before = await client.call("metrics")
-                for _ in range(4):
-                    response = await client.call(
-                        "analyze", timing=True, **ANALYZE
-                    )
-                    assert response["ok"], response
-                after = await client.call("metrics")
-        return before, after, response
-
-    before, after, analyze = asyncio.run(run())
-    validate_exposition(after["text"])
-    assert len(after["per_shard"]) == 2
-    # Router view == sum of per-shard views: the service-role series
-    # only exists in the shard workers, so the run's delta in the
-    # merged snapshot must equal the summed per-shard deltas, bucket by
-    # bucket.  (Deltas, not absolutes: the router process reuses this
-    # test process's registry, which earlier in-process tests fed.)
-    def shard_sum(response):
-        children = [
-            _child(snap, "repro_request_seconds", "analyze", "service")
-            for snap in response["per_shard"]
-        ]
-        present = [child for child in children if child]
-        counts = [sum(column) for column in
-                  zip(*(child["counts"] for child in present))] \
-            if present else []
-        return sum(child["count"] for child in present), counts
-
-    merged_delta = _count_delta(before["snapshot"], after["snapshot"],
-                                "repro_request_seconds",
-                                "analyze", "service")
-    before_count, before_counts = shard_sum(before)
-    after_count, after_counts = shard_sum(after)
-    assert merged_delta == after_count - before_count == 4
-    merged_before = _child(before["snapshot"], "repro_request_seconds",
-                           "analyze", "service")
-    merged_after = _child(after["snapshot"], "repro_request_seconds",
-                          "analyze", "service")
-    old = (merged_before["counts"] if merged_before
-           else [0] * len(merged_after["counts"]))
-    if not before_counts:
-        before_counts = [0] * len(after_counts)
-    assert [now - then for now, then
-            in zip(merged_after["counts"], old)] == \
-        [now - then for now, then in zip(after_counts, before_counts)]
-    # Both wire hops appear, each counting the same 4 requests.
-    assert _count_delta(before["snapshot"], after["snapshot"],
-                        "repro_request_seconds", "analyze", "router") == 4
-    assert _count_delta(before["snapshot"], after["snapshot"],
-                        "repro_request_seconds", "analyze", "service") == 4
-    # A traced request through the router shows the forwarded hop.
-    names = {span["name"] for span in analyze["timing"]["spans"]}
-    assert {"router", "shard", "engine"} <= names
 
 
 def test_metrics_cli_scrapes_the_wire_and_http_listeners(capsys):

@@ -4,7 +4,7 @@ A file URL (``sqlite:///x.db``) persists verdicts and documents in one
 backend and reports its target in ``/stats``; ``memory://`` is the
 default and runs without a document store; anything that is not a
 store URL is refused when the config is built, before a socket is
-bound or a shard worker spawned.
+bound.
 """
 
 from __future__ import annotations
@@ -87,9 +87,8 @@ def test_memory_url_matches_default_ephemeral():
 
 @pytest.mark.parametrize("url", ["memory://", "sqlite:///{tmp}/echo.db"])
 def test_unsharded_stats_echo_the_store_url(tmp_path, url):
-    """An unsharded service reports the configured store URL in
-    ``/stats`` -- never a bare file path or ``:memory:`` -- exactly as
-    the sharded router does."""
+    """The service reports the configured store URL in ``/stats`` --
+    never a bare file path or ``:memory:``."""
     url = url.format(tmp=tmp_path)
     stats = asyncio.run(_default_stats(store_path=url))
     assert stats["store"]["path"] == url
@@ -115,10 +114,10 @@ def test_non_url_rejected_with_the_url_to_use(value, hint):
     {"store_path": "verdicts.db"},
     {"store_path": ":memory:"},
     {"store_path": "sqlite:///:memory:"},
-    {"shards": 2, "store_path": "x.db"},
+    {"store_path": "/var/x.db"},
 ])
 def test_serveconfig_rejects_non_url(config):
     """`ServeConfig` refuses a non-URL store in `__post_init__`, so no
-    service object, socket or shard worker ever exists for it."""
+    service object or socket ever exists for it."""
     with pytest.raises(ValueError, match="sqlite:///|memory://"):
         ServeConfig(**config)

@@ -8,20 +8,14 @@ import json
 from contextlib import asynccontextmanager
 
 from repro.serve.protocol import MAX_LINE_BYTES, encode
-from repro.serve.server import IndependenceService, ServeConfig, make_service
+from repro.serve.server import IndependenceService, ServeConfig
 
 
 @asynccontextmanager
 async def running_service(**config_kwargs):
-    """A started service on an ephemeral loopback port.
-
-    With ``shards=N`` (N > 1) this yields the sharded router over a
-    pool of worker processes; otherwise the classic in-process service.
-    """
+    """A started service on an ephemeral loopback port."""
     config_kwargs.setdefault("port", 0)
-    service = make_service(ServeConfig(**config_kwargs))
-    if config_kwargs.get("shards", 1) == 1:
-        assert isinstance(service, IndependenceService)
+    service = IndependenceService(ServeConfig(**config_kwargs))
     host, port = await service.start()
     server_task = asyncio.create_task(service.serve_until_stopped())
     try:

@@ -497,9 +497,10 @@ class TestSqlitePragmas:
 
 
 class TestSqliteCrossProcess:
-    """The multi-process sharing property the sharded service relies
-    on: a second *process* opening the same sqlite store URL sees
-    committed rows and can write alongside a busy writer."""
+    """The multi-process sharing property ``repro load`` beside a
+    running service relies on: a second *process* opening the same
+    sqlite store URL sees committed rows and can write alongside a busy
+    writer."""
 
     def test_second_process_reads_and_writes(self, tmp_path):
         import subprocess

@@ -1,13 +1,12 @@
-"""Sharded serving over one PostgreSQL store (live-server gated).
+"""Serving over one PostgreSQL store (live-server gated).
 
-The acceptance test for the ``postgresql://`` backend's reason to
-exist: verdicts computed by a **2-shard** service through one
-PostgreSQL server must warm-start an **unsharded** replay of the same
-workload -- every pair served from the store (``store_hits ==
-pairs``), zero universes rebuilt.  This mirrors
-``tests/serve/test_sharding.py::test_cross_shard_warm_start`` with the
-shared WAL file swapped for a shared server, proving the two backends
-are interchangeable at the topology level.
+Verdicts computed by one service through a PostgreSQL server must
+warm-start a later service's replay of the same workload -- every
+pair served from the store (``store_hits == pairs``), zero universes
+rebuilt.  This mirrors
+``tests/serve/test_two_schemas.py::test_restart_warm_starts_from_the_store``
+with the WAL file swapped for a server, so the two backends are
+interchangeable.
 
 Runs only when ``REPRO_PG_DSN`` points at a live server (the CI
 postgres job sets it); the tables are dropped first so every run
@@ -21,7 +20,7 @@ import os
 
 import pytest
 
-from tests.serve.test_sharding import GEN_REF, PAIRS, _gen_register_params
+from tests.serve.test_two_schemas import PAIRS, analyze_both_schemas
 from tests.serve.util import ServiceClient, running_service
 
 PG_DSN = os.environ.get("REPRO_PG_DSN", "")
@@ -48,33 +47,13 @@ def cold_pg_store() -> str:
     return PG_DSN
 
 
-def test_two_shard_pg_warm_starts_unsharded_replay(cold_pg_store):
-    """Shard processes write one PostgreSQL store; a later unsharded
-    service replays the workload entirely from it."""
-    spec_params = _gen_register_params()
+def test_pg_restart_warm_starts_replay(cold_pg_store):
+    """One service writes a PostgreSQL store; a later service replays
+    the workload entirely from it."""
+    first = asyncio.run(analyze_both_schemas(cold_pg_store))
+    assert first["store"]["verdicts"] >= 2 * len(PAIRS)
 
-    async def drive(**config_kwargs) -> dict:
-        async with running_service(
-            store_path=cold_pg_store, preload=("xmark",),
-            **config_kwargs,
-        ) as (_, host, port):
-            async with ServiceClient(host, port) as client:
-                await client.call("schema.register", **spec_params)
-                for ref in ("xmark", GEN_REF):
-                    for query, update in PAIRS:
-                        response = await client.call(
-                            "analyze", schema=ref,
-                            query=query, update=update,
-                        )
-                        assert response["ok"], response
-                stats = await client.call("stats")
-                assert stats["ok"], stats
-                return stats
-
-    sharded = asyncio.run(drive(shards=2))
-    assert sharded["store"]["verdicts"] >= 2 * len(PAIRS)
-
-    replay = asyncio.run(drive())
+    replay = asyncio.run(analyze_both_schemas(cold_pg_store))
     engines = replay["registry"]["engines"].values()
     pairs = 2 * len(PAIRS)
     assert sum(engine["store_hits"] for engine in engines) == pairs

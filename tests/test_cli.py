@@ -181,7 +181,6 @@ class TestParserMatchesConfigs:
         assert args.max_schemas == config.max_schemas
         assert args.max_documents == config.max_documents
         assert args.pair_cache == config.pair_cache_size
-        assert args.shards == config.shards
 
     def test_batching_has_no_window_flag(self):
         # Batching is work-conserving: there is no admission timer to
@@ -209,7 +208,6 @@ class TestParserMatchesConfigs:
         assert args.clients == config.clients
         assert args.requests == config.requests
         assert args.seed == config.seed
-        assert args.shards is None
 
     def test_serve_help_quotes_real_defaults(self):
         """The epilog and flag help must carry the live default values
@@ -224,7 +222,6 @@ class TestParserMatchesConfigs:
         config = ServeConfig()
         assert f"max-documents {config.max_documents}" in text
         assert f"max-batch {config.max_batch}" in text
-        assert f"shards {config.shards}" in text
         assert "docs/PROTOCOL.md" in text
 
     def test_loadgen_expect_coalescing_semantics_documented(self):
@@ -246,12 +243,20 @@ class TestParserMatchesConfigs:
         )
         assert args.schema == ["xmark", "gen:11"]
 
-    def test_serve_bench_shard_flag(self):
-        from repro.cli import build_parser
+    def test_service_has_no_shards_knob(self):
+        # One serving topology: no command takes --shards, and the
+        # service config has no shard fields.
+        import dataclasses
 
-        args = build_parser().parse_args(["serve-bench", "--shards", "3"])
-        assert args.shards == 3
-        assert build_parser().parse_args(["serve-bench"]).shards == 2
+        from repro.cli import main
+        from repro.serve.server import ServeConfig
+
+        for command in ("serve", "loadgen", "serve-bench"):
+            with pytest.raises(SystemExit) as exit_info:
+                main([command, "--shards", "2"])
+            assert exit_info.value.code == 2
+        fields = {field.name for field in dataclasses.fields(ServeConfig)}
+        assert not fields & {"shards", "shard_index", "doc_id_prefix"}
 
 
 class TestLoadCommand:
